@@ -6,11 +6,11 @@
 //! * `TP_SAMPLES` — scale factor for sample counts (default `1.0`; e.g.
 //!   `0.25` for a quick pass, `4` for higher statistical resolution);
 //! * `TP_THREADS` — worker-thread count for the shuffle test and for
-//!   `reproduce_all`'s experiment fan-out (default: the machine's
-//!   available parallelism; `1` forces a fully sequential run). Thread
-//!   count affects wall-clock time only — results are bit-identical for
-//!   every value, because all per-work-item RNG seeds are derived from
-//!   the master seed.
+//!   fanning out `reproduce_all` experiments and `campaign` cells
+//!   (default: the machine's available parallelism; `1` forces a fully
+//!   sequential run). Thread count affects wall-clock time only — results
+//!   are bit-identical for every value, because all per-work-item RNG
+//!   seeds are derived from the master seed.
 
 /// Parse a `TP_SAMPLES` value. `None`/empty means "unset" (default 1.0);
 /// anything set but not a positive finite number is a hard error naming

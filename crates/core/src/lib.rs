@@ -69,8 +69,8 @@ pub mod system;
 pub use commit::{Commit, CommitLog, StateHasher};
 pub use config::{FlushMode, ProtectionConfig};
 pub use engine::{
-    default_exec_mode, health_stats, EnvOutcome, EnvPanicPayload, EnvPlan, ExecMode, HealthStats,
-    SimCtl, SimError, SimErrorKind, SimInner, UserEnv, UserProgram,
+    health_stats, EnvOutcome, EnvPlan, HealthStats, SimCtl, SimError, SimErrorKind, SimInner,
+    UserEnv, UserProgram,
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use kernel::{EngineMode, FootKind, Kernel, KernelError, SysReturn, Syscall};

@@ -1,10 +1,10 @@
 //! Stackful coroutines for the cooperative simulation executor.
 //!
-//! The engine in `tp-core` multiplexes N simulated environments over M host
-//! worker threads. Each environment runs as a [`Coro`]: a resumable task with
-//! its own call stack that [`suspend`]s back to the worker that resumed it
-//! whenever the environment would otherwise block an OS thread (waiting for
-//! its scheduling turn, waiting for preemption).
+//! The engine in `tp-core` runs every simulated environment as a [`Coro`]: a
+//! resumable task with its own call stack, driven by a single driver on the
+//! thread that started the simulation. An environment [`suspend`]s back to
+//! the driver whenever it would otherwise block (waiting for its scheduling
+//! turn, waiting for preemption).
 //!
 //! Two interchangeable backends implement the same resume/suspend contract:
 //!
@@ -37,8 +37,7 @@
 //!
 //! Panics never cross the assembly: the coroutine entry point catches the
 //! unwind and hands the payload back to the host through [`Coro::take_panic`],
-//! mirroring what `std::thread::JoinHandle::join` would have returned under
-//! the old thread-per-environment engine.
+//! mirroring what `std::thread::JoinHandle::join` returns for a thread.
 
 #![warn(missing_docs)]
 
@@ -61,13 +60,16 @@ const MIN_STACK_BYTES: usize = 32 * 1024;
 /// 256 KiB default. Read once per process.
 pub fn default_stack_bytes() -> usize {
     static BYTES: OnceLock<usize> = OnceLock::new();
-    *BYTES.get_or_init(|| {
-        std::env::var("TP_STACK_KB")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .map(|kib| (kib * 1024).max(MIN_STACK_BYTES))
-            .unwrap_or(DEFAULT_STACK_KIB * 1024)
-    })
+    *BYTES.get_or_init(|| stack_bytes_from(std::env::var("TP_STACK_KB").ok().as_deref()))
+}
+
+/// Parse a `TP_STACK_KB` value into a stack size in bytes. Unset, non-
+/// numeric and overflowing values (more KiB than fit in `usize` bytes)
+/// fall back to the default; tiny ones are raised to the floor.
+fn stack_bytes_from(raw: Option<&str>) -> usize {
+    raw.and_then(|s| s.trim().parse::<usize>().ok())
+        .and_then(|kib| kib.checked_mul(1024))
+        .map_or(DEFAULT_STACK_KIB * 1024, |b| b.max(MIN_STACK_BYTES))
 }
 
 /// Guard value written at the base (lowest address) of every stack-backend
@@ -679,6 +681,20 @@ mod tests {
     /// forced thread fallback, which must be behaviourally identical.
     fn both(f: impl Fn() -> Box<dyn FnOnce() + Send + 'static>) -> Vec<Coro> {
         vec![Coro::new(f()), Coro::thread_backed(f())]
+    }
+
+    #[test]
+    fn stack_size_parse_floors_and_falls_back() {
+        let default = DEFAULT_STACK_KIB * 1024;
+        assert_eq!(stack_bytes_from(None), default);
+        assert_eq!(stack_bytes_from(Some("lots")), default);
+        assert_eq!(stack_bytes_from(Some(" 512 ")), 512 * 1024);
+        assert_eq!(stack_bytes_from(Some("1")), MIN_STACK_BYTES);
+        // More KiB than fit in `usize` bytes is as unusable as a typo: the
+        // default, not a wrapped product clamped up to the floor.
+        let huge = (usize::MAX / 1024 + 1).to_string();
+        assert_eq!(stack_bytes_from(Some(&huge)), default);
+        assert_eq!(stack_bytes_from(Some(&usize::MAX.to_string())), default);
     }
 
     #[test]

@@ -395,24 +395,14 @@ fn validate_rejects_broken_configs() {
     assert!(!cfg.validate().is_empty());
 }
 
-/// Build-and-run one fixed multi-environment workload under a chosen
-/// executor; used by the M-independence property below. Three domains on
-/// one core — a probing primary, a computing daemon and a paging daemon —
-/// exercise preemption, batched sweeps and kernel allocation paths.
+/// Build-and-run one fixed multi-environment workload; used by the pinned
+/// executor reference and the fault-isolation property below. Three
+/// domains on one core — a probing primary, a computing daemon and a
+/// paging daemon — exercise preemption, batched sweeps and kernel
+/// allocation paths. A fault aimed at the primary surfaces as `Err`.
 fn executor_fixture(
     platform: tp_sim::Platform,
     seed: u64,
-    mode: tp_core::ExecMode,
-) -> tp_core::SystemReport {
-    executor_fixture_result(platform, seed, mode).expect("fixture run")
-}
-
-/// [`executor_fixture`] without the unwrap, for the fault-isolation
-/// property (a fault aimed at the primary surfaces here as `Err`).
-fn executor_fixture_result(
-    platform: tp_sim::Platform,
-    seed: u64,
-    mode: tp_core::ExecMode,
 ) -> Result<tp_core::SystemReport, tp_core::SimError> {
     use parking_lot::Mutex;
     use std::sync::Arc;
@@ -424,8 +414,7 @@ fn executor_fixture_result(
     let mut b = SystemBuilder::new(platform, ProtectionConfig::protected())
         .seed(seed)
         .slice_us(30.0)
-        .max_cycles(600_000_000)
-        .executor(mode);
+        .max_cycles(600_000_000);
     let d0 = b.domain(None);
     let d1 = b.domain(None);
     let d2 = b.domain(None);
@@ -451,88 +440,181 @@ fn executor_fixture_result(
     b.try_run()
 }
 
-proptest! {
-    /// The cooperative executor's host worker count is invisible: for any
-    /// platform and seed, running the same multi-environment workload under
-    /// the thread-per-environment executor and under cooperative executors
-    /// with 1, 2 and host-default workers produces the same final kernel
-    /// state hash and the same per-core cycle counts. This is the
-    /// structural determinism contract of the executor redesign.
-    #[test]
-    fn executor_worker_count_is_invisible(
-        p in proptest::sample::select(tp_sim::Platform::ALL),
-        seed in any::<u64>(),
-    ) {
-        use tp_core::ExecMode;
-        let base = executor_fixture(p, seed, ExecMode::Threads);
-        for mode in [
-            ExecMode::Coop { workers: 1 },
-            ExecMode::Coop { workers: 2 },
-            ExecMode::Coop { workers: 0 },
-        ] {
-            let r = executor_fixture(p, seed, mode);
-            prop_assert_eq!(
-                r.state_hash, base.state_hash,
-                "{}: {mode:?} state hash diverged from Threads", p.key()
-            );
-            prop_assert_eq!(
-                &r.cycles, &base.cycles,
-                "{}: {mode:?} cycle counts diverged from Threads", p.key()
-            );
+/// [`executor_fixture`] with `env-panic@at` armed, if any.
+fn executor_fixture_with_panic(
+    platform: tp_sim::Platform,
+    seed: u64,
+    at: Option<u64>,
+) -> Result<tp_core::SystemReport, tp_core::SimError> {
+    use tp_core::{fault, FaultKind};
+    fault::arm(at.map(|at| FaultKind::EnvPanic { at }));
+    let r = executor_fixture(platform, seed);
+    fault::arm(None);
+    r
+}
+
+/// What one pinned [`executor_fixture`] run produced.
+enum Pinned {
+    /// The run completed: final kernel state hash, core-0 cycle count (the
+    /// other cores stay idle) and the environment that failed in isolation,
+    /// if any.
+    Ran {
+        hash: u64,
+        cycles0: u64,
+        failed: Option<u64>,
+    },
+    /// The panic landed on the primary (env 0) and ended the run.
+    PrimaryDied,
+}
+
+/// Reference outputs of [`executor_fixture`] — platform, seed, `env-panic`
+/// ordinal — recorded from the thread-per-environment engine (one parked
+/// host thread per environment) and every worker-pool size of the old
+/// cooperative executor, which all agreed, before the single inline driver
+/// replaced them.
+#[rustfmt::skip]
+const EXECUTOR_PINS: [(tp_sim::Platform, u64, Option<u64>, Pinned); 48] = {
+    use tp_sim::Platform::{Haswell, HiKey, Sabre, Skylake};
+    use Pinned::{PrimaryDied, Ran};
+    [
+    (Haswell, 0x5EED_0001, None, Ran { hash: 0x3160_B4BE_46CB_0152, cycles0: 5_699_983, failed: None }),
+    (Haswell, 0x5EED_0001, Some(2), Ran { hash: 0xE302_C710_9B89_DBEB, cycles0: 5_699_653, failed: Some(2) }),
+    (Haswell, 0x5EED_0001, Some(5), Ran { hash: 0x78BF_982B_6E66_DE56, cycles0: 5_699_721, failed: Some(2) }),
+    (Haswell, 0x5EED_0001, Some(11), Ran { hash: 0x7DDD_89E5_48C0_8964, cycles0: 5_699_689, failed: Some(2) }),
+    (Haswell, 0xC0FF_EE00_1234, None, Ran { hash: 0xF866_B7AE_09D7_6BAE, cycles0: 5_698_816, failed: None }),
+    (Haswell, 0xC0FF_EE00_1234, Some(2), Ran { hash: 0xA186_649A_766E_63CB, cycles0: 5_698_648, failed: Some(2) }),
+    (Haswell, 0xC0FF_EE00_1234, Some(5), Ran { hash: 0x56F5_B717_9AE7_4C1E, cycles0: 5_698_896, failed: Some(2) }),
+    (Haswell, 0xC0FF_EE00_1234, Some(11), Ran { hash: 0x51A5_C727_38D3_5C9E, cycles0: 5_699_134, failed: Some(2) }),
+    (Haswell, 0xDEAD_BEEF, None, Ran { hash: 0x769E_C92F_BDDE_B796, cycles0: 5_698_928, failed: None }),
+    (Haswell, 0xDEAD_BEEF, Some(2), Ran { hash: 0x069B_7646_0B98_F32B, cycles0: 5_698_880, failed: Some(2) }),
+    (Haswell, 0xDEAD_BEEF, Some(5), Ran { hash: 0x42C3_8159_484D_6017, cycles0: 5_698_996, failed: Some(2) }),
+    (Haswell, 0xDEAD_BEEF, Some(11), Ran { hash: 0xCFCB_472D_5DF4_61B0, cycles0: 5_698_718, failed: Some(2) }),
+    (Sabre, 0x5EED_0001, None, Ran { hash: 0xC23C_02AE_8410_B8EC, cycles0: 5_711_407, failed: None }),
+    (Sabre, 0x5EED_0001, Some(2), Ran { hash: 0xE925_1B02_3058_1959, cycles0: 5_636_372, failed: Some(1) }),
+    (Sabre, 0x5EED_0001, Some(5), Ran { hash: 0x90F3_5E64_0A4F_726E, cycles0: 5_639_633, failed: Some(1) }),
+    (Sabre, 0x5EED_0001, Some(11), Ran { hash: 0xDD29_F6A8_6EF2_3C79, cycles0: 5_646_147, failed: Some(1) }),
+    (Sabre, 0xC0FF_EE00_1234, None, Ran { hash: 0x0E0A_D46D_0CF9_637D, cycles0: 5_710_935, failed: None }),
+    (Sabre, 0xC0FF_EE00_1234, Some(2), Ran { hash: 0xCB36_BB3E_068C_642A, cycles0: 5_635_904, failed: Some(1) }),
+    (Sabre, 0xC0FF_EE00_1234, Some(5), Ran { hash: 0xD066_A8F7_84D5_B2E8, cycles0: 5_639_161, failed: Some(1) }),
+    (Sabre, 0xC0FF_EE00_1234, Some(11), Ran { hash: 0x2BDA_50A0_F6B4_4FB5, cycles0: 5_645_675, failed: Some(1) }),
+    (Sabre, 0xDEAD_BEEF, None, Ran { hash: 0xFE6E_9C00_A0A6_07C2, cycles0: 5_710_914, failed: None }),
+    (Sabre, 0xDEAD_BEEF, Some(2), Ran { hash: 0x196A_75A8_D309_8C2A, cycles0: 5_635_883, failed: Some(1) }),
+    (Sabre, 0xDEAD_BEEF, Some(5), Ran { hash: 0x4E39_F10F_7CA0_7252, cycles0: 5_639_140, failed: Some(1) }),
+    (Sabre, 0xDEAD_BEEF, Some(11), Ran { hash: 0x4DF6_970C_C14D_FFF7, cycles0: 5_645_654, failed: Some(1) }),
+    (Skylake, 0x5EED_0001, None, Ran { hash: 0xA351_CA63_B7F9_6C14, cycles0: 4_453_785, failed: None }),
+    (Skylake, 0x5EED_0001, Some(2), Ran { hash: 0xE706_EB04_801A_FDD9, cycles0: 4_452_879, failed: Some(2) }),
+    (Skylake, 0x5EED_0001, Some(5), PrimaryDied),
+    (Skylake, 0x5EED_0001, Some(11), Ran { hash: 0x0118_61B4_CDBA_35AC, cycles0: 4_453_637, failed: Some(2) }),
+    (Skylake, 0xC0FF_EE00_1234, None, Ran { hash: 0x519A_C0B5_F4F4_614C, cycles0: 4_539_962, failed: None }),
+    (Skylake, 0xC0FF_EE00_1234, Some(2), Ran { hash: 0x9EBD_15AE_254C_254C, cycles0: 4_441_772, failed: Some(2) }),
+    (Skylake, 0xC0FF_EE00_1234, Some(5), PrimaryDied),
+    (Skylake, 0xC0FF_EE00_1234, Some(11), PrimaryDied),
+    (Skylake, 0xDEAD_BEEF, None, Ran { hash: 0x0728_976B_DEE0_3192, cycles0: 4_452_745, failed: None }),
+    (Skylake, 0xDEAD_BEEF, Some(2), Ran { hash: 0x871E_49C4_711F_63DF, cycles0: 4_442_029, failed: Some(2) }),
+    (Skylake, 0xDEAD_BEEF, Some(5), PrimaryDied),
+    (Skylake, 0xDEAD_BEEF, Some(11), Ran { hash: 0x495B_EA47_C795_88B5, cycles0: 4_560_693, failed: Some(2) }),
+    (HiKey, 0x5EED_0001, None, Ran { hash: 0x30E3_CB3D_3E71_F5FA, cycles0: 2_280_123, failed: None }),
+    (HiKey, 0x5EED_0001, Some(2), Ran { hash: 0x84FA_7A90_CA0A_48E3, cycles0: 2_280_261, failed: Some(2) }),
+    (HiKey, 0x5EED_0001, Some(5), Ran { hash: 0xDB63_4405_49DB_58C5, cycles0: 2_280_123, failed: Some(1) }),
+    (HiKey, 0x5EED_0001, Some(11), Ran { hash: 0x7D5C_63B5_AD51_7195, cycles0: 2_280_112, failed: Some(2) }),
+    (HiKey, 0xC0FF_EE00_1234, None, Ran { hash: 0xF9A8_465B_7AC9_B75D, cycles0: 2_280_242, failed: None }),
+    (HiKey, 0xC0FF_EE00_1234, Some(2), Ran { hash: 0x89C2_FF90_0234_6995, cycles0: 2_280_209, failed: Some(2) }),
+    (HiKey, 0xC0FF_EE00_1234, Some(5), Ran { hash: 0xCFF0_4F0C_C821_69B7, cycles0: 2_280_242, failed: Some(1) }),
+    (HiKey, 0xC0FF_EE00_1234, Some(11), Ran { hash: 0xB10A_70FA_2144_77BC, cycles0: 2_280_231, failed: Some(2) }),
+    (HiKey, 0xDEAD_BEEF, None, Ran { hash: 0x7F0D_6A6E_E889_549F, cycles0: 2_280_234, failed: None }),
+    (HiKey, 0xDEAD_BEEF, Some(2), Ran { hash: 0x0C60_2014_2253_8E23, cycles0: 2_280_370, failed: Some(2) }),
+    (HiKey, 0xDEAD_BEEF, Some(5), Ran { hash: 0x5110_0C19_3B64_25DE, cycles0: 2_280_234, failed: Some(1) }),
+    (HiKey, 0xDEAD_BEEF, Some(11), Ran { hash: 0x742D_E913_4DF5_DCE1, cycles0: 2_280_223, failed: Some(2) }),
+    ]
+};
+
+/// The executor reproduces the pinned reference bit for bit: final kernel
+/// state hash, per-core cycle counts and the typed
+/// [`tp_core::EnvOutcome`] list — or, when the panic lands on the primary,
+/// the identical error. CI runs this under both coroutine backends.
+#[test]
+fn executor_reproduces_pinned_reference() {
+    use tp_core::EnvOutcome;
+    for (p, seed, at, pinned) in &EXECUTOR_PINS {
+        let (p, seed, at) = (*p, *seed, *at);
+        let r = executor_fixture_with_panic(p, seed, at);
+        let case = format!("{} seed {seed:#x} env-panic@{at:?}", p.key());
+        match (pinned, r) {
+            (
+                Pinned::Ran {
+                    hash,
+                    cycles0,
+                    failed,
+                },
+                Ok(r),
+            ) => {
+                assert_eq!(r.state_hash, *hash, "{case}: state hash");
+                let mut cycles = vec![0; p.config().cores];
+                cycles[0] = *cycles0;
+                assert_eq!(r.cycles, cycles, "{case}: cycles");
+                let outcomes: Vec<EnvOutcome> = (0..3)
+                    .map(|env| match (*failed, at) {
+                        (Some(f), Some(at)) if f == env => EnvOutcome::Failed {
+                            env,
+                            message: format!("injected fault: env-panic at syscall {at}"),
+                        },
+                        _ => EnvOutcome::Completed,
+                    })
+                    .collect();
+                assert_eq!(r.env_outcomes, outcomes, "{case}: env outcomes");
+            }
+            (Pinned::PrimaryDied, Err(e)) => assert_eq!(
+                e.to_string(),
+                format!(
+                    "simulated program failed: injected fault: env-panic at syscall {} (env 0)",
+                    at.expect("only a fault kills the primary")
+                ),
+                "{case}"
+            ),
+            (_, r) => panic!("{case}: unexpected outcome {:?}", r.map(|r| r.env_outcomes)),
         }
     }
+}
 
-    /// Per-environment failure isolation is executor- and worker-count-
-    /// invariant: arm an `env-panic` at an arbitrary interaction ordinal
-    /// and the outcome — whichever environment dies, the survivors' final
-    /// kernel state hash, per-core cycle counts and the typed
-    /// [`tp_core::EnvOutcome`] list — is bit-identical under the
-    /// thread-per-environment executor and cooperative executors with 1,
-    /// 2 and host-default workers. A panic that lands on a daemon must
-    /// never abort the run or perturb its siblings; one that lands on the
-    /// primary must produce the identical error everywhere.
+proptest! {
+    /// Per-environment failure isolation holds for any platform, seed and
+    /// `env-panic` ordinal, and the outcome is a pure function of them: a
+    /// second run reproduces the survivors' final kernel state hash,
+    /// per-core cycle counts and typed [`tp_core::EnvOutcome`] list (or,
+    /// when the panic lands on the primary, the identical error). A panic
+    /// that lands on a daemon must never abort the run or take the whole
+    /// fleet down; one beyond the run's interaction count must leave no
+    /// trace at all.
     #[test]
     fn env_failure_isolation_is_executor_invariant(
         p in proptest::sample::select(tp_sim::Platform::ALL),
         seed in any::<u64>(),
         at in 2u64..18,
     ) {
-        use tp_core::{fault, EnvOutcome, ExecMode, FaultKind};
-        let run = |mode| {
-            fault::arm(Some(FaultKind::EnvPanic { at }));
-            let r = executor_fixture_result(p, seed, mode);
-            fault::arm(None);
-            r
-        };
-        let base = run(ExecMode::Threads);
-        for mode in [
-            ExecMode::Coop { workers: 1 },
-            ExecMode::Coop { workers: 2 },
-            ExecMode::Coop { workers: 0 },
-        ] {
-            match (&base, &run(mode)) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(
-                        b.state_hash, a.state_hash,
-                        "{}: {mode:?} survivor state diverged from Threads", p.key()
-                    );
-                    prop_assert_eq!(&b.cycles, &a.cycles);
-                    prop_assert_eq!(&b.env_outcomes, &a.env_outcomes);
-                }
-                (Err(a), Err(b)) => {
-                    prop_assert_eq!(
-                        a.to_string(), b.to_string(),
-                        "{}: {mode:?} primary-death error diverged", p.key()
-                    );
-                }
-                (a, b) => {
-                    panic!(
-                        "{}: Threads {} but {mode:?} {}",
-                        p.key(),
-                        if a.is_ok() { "completed" } else { "errored" },
-                        if b.is_ok() { "completed" } else { "errored" },
-                    );
-                }
+        use tp_core::EnvOutcome;
+        let base = executor_fixture_with_panic(p, seed, Some(at));
+        match (&base, &executor_fixture_with_panic(p, seed, Some(at))) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(
+                    b.state_hash, a.state_hash,
+                    "{}: survivor state diverged between runs", p.key()
+                );
+                prop_assert_eq!(&b.cycles, &a.cycles);
+                prop_assert_eq!(&b.env_outcomes, &a.env_outcomes);
+            }
+            (Err(a), Err(b)) => {
+                prop_assert_eq!(
+                    a.to_string(), b.to_string(),
+                    "{}: primary-death error diverged between runs", p.key()
+                );
+            }
+            (a, b) => {
+                panic!(
+                    "{}: first run {} but second {}",
+                    p.key(),
+                    if a.is_ok() { "completed" } else { "errored" },
+                    if b.is_ok() { "completed" } else { "errored" },
+                );
             }
         }
         if let Ok(a) = &base {
@@ -544,8 +626,7 @@ proptest! {
             if failed == 0 {
                 // The ordinal was beyond the run's interaction count: the
                 // armed-but-inert fault must leave no trace at all.
-                let clean = executor_fixture_result(p, seed, ExecMode::Threads)
-                    .expect("clean fixture");
+                let clean = executor_fixture(p, seed).expect("clean fixture");
                 prop_assert_eq!(
                     a.state_hash, clean.state_hash,
                     "{}: inert env-panic@{} perturbed the run", p.key(), at
@@ -553,9 +634,8 @@ proptest! {
             } else {
                 // Contained, not collapsed: at least one daemon survived.
                 // (A death mid-critical-section can legitimately take a
-                // sibling with it — the cascade is itself deterministic
-                // and executor-invariant, pinned by the `env_outcomes`
-                // equality above.)
+                // sibling with it — the cascade is itself deterministic,
+                // pinned by the `env_outcomes` equality above.)
                 prop_assert!(
                     failed < a.env_outcomes.len(),
                     "{}: env-panic@{} took the whole fleet down", p.key(), at
