@@ -10,9 +10,9 @@
 //! campaign --json results.json            # write structured results
 //! campaign --check goldens/verdicts.json  # fail on any verdict diff
 //! campaign --update-goldens goldens/verdicts.json
-//! campaign --resume                       # skip journaled cells
+//! campaign --resume                       # serve cached cells, run the rest
 //! campaign --shard 0/2                    # run half the matrix
-//! campaign --merge 2                      # fold shard journals + finish
+//! campaign --merge 2                      # --resume after N shard runs
 //! ```
 //!
 //! `TP_SAMPLES` scales sample counts as everywhere else; the pinned
@@ -27,27 +27,24 @@
 //! `TP_CELL_TIMEOUT` overrides the per-cell wall-clock deadline that is
 //! otherwise derived from the previous run's `BENCH-campaign.json`.
 //!
-//! Every completed cell is appended (checksummed, fsynced) to the
-//! per-cell journal `goldens/campaign.journal` as it finishes, so a
-//! campaign killed at any point resumes with `--resume` instead of
-//! re-running finished work: the journal is replayed, torn records are
-//! truncated, verified cells are skipped, and the final artifacts are
-//! byte-identical (modulo wall times) to an uninterrupted run. `--shard
-//! i/N` deterministically runs every Nth cell into a per-shard journal;
-//! `--merge N` folds the shard journals together, runs anything still
-//! missing, and emits the single unified artifacts. An advisory lock next
-//! to each journal keeps concurrent campaigns from interleaving appends.
+//! Every completed cell is cached as it finishes, one checksummed file per
+//! cell under `goldens/cache/`, keyed on the cell, the run parameters and
+//! the build's source fingerprint (see [`tp_bench::store`]). A plain run
+//! recomputes every cell and overwrites its file; `--resume` serves every
+//! cell whose file verifies under the current key and runs the rest, so
+//! a campaign killed at any point finishes without re-running finished
+//! work, with artifacts byte-identical (modulo wall times) to an
+//! uninterrupted run. A torn or rotted file is a miss. `--shard i/N` runs
+//! every Nth cell, writing only its cache files; `--merge N` is
+//! `--resume` after the N shard runs and emits the unified artifacts.
 
 use std::process::ExitCode;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tp_bench::campaign::{
     bench_json, check_goldens, golden_json, registry, results_json, ExperimentDef, ExperimentResult,
 };
 use tp_bench::cli;
-use tp_bench::store::{
-    self, read_artifact, write_atomic, CampaignLock, CellRecord, Journal, JournalHeader,
-};
+use tp_bench::store::{self, read_artifact, write_atomic, CellRecord, CACHE_DIR};
 use tp_bench::supervise::{
     self, cell_deadline, parse_bench_history, quarantine_json, CellOutcome, QuarantineEntry,
 };
@@ -58,12 +55,6 @@ use tp_sim::Platform;
 /// Where the quarantine ledger is written (next to the golden verdicts).
 const QUARANTINE_PATH: &str = "goldens/quarantine.json";
 
-/// The unsharded per-cell journal (shards append `.shard-i-of-N`).
-const JOURNAL_PATH: &str = "goldens/campaign.journal";
-
-/// How long to wait on the advisory lock before giving up.
-const LOCK_TIMEOUT: Duration = Duration::from_secs(900);
-
 struct Args {
     list: bool,
     only: Vec<String>,
@@ -73,7 +64,7 @@ struct Args {
     update_goldens: Option<String>,
     resume: bool,
     shard: Option<(usize, usize)>,
-    merge: Option<usize>,
+    merge: bool,
 }
 
 fn parse_shard(spec: &str) -> Result<(usize, usize), String> {
@@ -101,7 +92,7 @@ fn parse_args() -> Result<Args, String> {
         update_goldens: None,
         resume: false,
         shard: None,
-        merge: None,
+        merge: false,
     };
     let mut it = cli::ArgStream::from_env();
     while let Some(arg) = it.next() {
@@ -119,14 +110,13 @@ fn parse_args() -> Result<Args, String> {
             "--update-goldens" => args.update_goldens = Some(it.value("--update-goldens")?),
             "--shard" => args.shard = Some(parse_shard(&it.value("--shard")?)?),
             "--merge" => {
-                let n: usize = it
-                    .value("--merge")?
-                    .parse()
-                    .map_err(|_| "--merge needs a shard count N".to_string())?;
-                if n == 0 {
+                if cli::parse_u64("--merge", &it.value("--merge")?)? == 0 {
                     return Err("--merge needs N >= 1".into());
                 }
-                args.merge = Some(n);
+                // The shards' cache files are this run's cache: merging is
+                // resuming.
+                args.merge = true;
+                args.resume = true;
             }
             other => {
                 return Err(format!(
@@ -137,21 +127,17 @@ fn parse_args() -> Result<Args, String> {
     }
     args.platforms = common.platforms;
     args.json = common.json;
-    if args.shard.is_some() && args.merge.is_some() {
+    if args.shard.is_some() && args.merge {
         return Err("--shard and --merge are mutually exclusive".into());
     }
     if args.shard.is_some()
         && (args.json.is_some() || args.check.is_some() || args.update_goldens.is_some())
     {
         return Err(
-            "--shard runs write only their journal; emit artifacts from --merge instead".into(),
+            "--shard runs write only their cache files; emit artifacts from --merge instead".into(),
         );
     }
     Ok(args)
-}
-
-fn shard_journal_path(i: usize, n: usize) -> String {
-    format!("{JOURNAL_PATH}.shard-{i}-of-{n}")
 }
 
 fn print_list(defs: &[ExperimentDef], platforms: &[Platform]) {
@@ -242,106 +228,29 @@ fn main() -> ExitCode {
         eprintln!("[shard {i}/{n}: {} of the matrix's cells]", schedule.len());
     }
 
-    // The journal this run appends to, guarded by its advisory lock.
-    let journal_path = match args.shard {
-        Some((i, n)) => shard_journal_path(i, n),
-        None => JOURNAL_PATH.to_string(),
-    };
-    let _lock = match CampaignLock::acquire(format!("{journal_path}.lock"), LOCK_TIMEOUT) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("campaign: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    // Replay whatever journals this invocation trusts: every shard journal
-    // on --merge, plus this run's own journal on --resume. The own journal
-    // is then reopened for append — a fresh run truncates it, a resumed run
-    // rewrites the verified prefix and continues after it.
-    let header = JournalHeader::current();
-    let mut reports = Vec::new();
-    if let Some(n) = args.merge {
-        for i in 0..n {
-            let path = shard_journal_path(i, n);
-            let report = Journal::load(&path, &header);
-            if report.records.is_empty() && report.truncated == 0 {
-                eprintln!("[merge: shard journal {path} is missing or empty]");
-            } else if let Some(why) = &report.why {
-                eprintln!(
-                    "[journal {path}: {why} — {} record(s) recovered, {} dropped and will recompute]",
-                    report.recovered, report.truncated,
-                );
-            }
-            store::note_load(&report);
-            reports.push(report);
-        }
-    }
-    let mut own_keys: std::collections::BTreeSet<(String, String)> = Default::default();
-    let journal = if args.resume {
-        Journal::open_resume(&journal_path, &header).map(|(j, report)| {
-            own_keys = report.records.iter().map(CellRecord::key).collect();
-            reports.push(report);
-            j
-        })
-    } else {
-        Journal::create(&journal_path, &header)
-    };
-    let journal = match journal {
-        Ok(j) => Mutex::new(j),
-        Err(e) => {
-            eprintln!("campaign: cannot open journal {journal_path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let completed = store::completed_cells(&reports);
-
-    // Partition the schedule: journaled cells replay, the rest run.
+    // Partition the schedule: on --resume, verified cache files serve
+    // their cells and only the misses run.
     let mut replayed: Vec<(usize, ExperimentResult)> = Vec::new();
     let mut todo: Vec<(usize, &ExperimentDef, Platform)> = Vec::new();
     for &(idx, d, p) in &schedule {
-        match completed.get(&(d.name.to_string(), p.key().to_string())) {
-            Some(rec) => {
-                store::note_cell_skipped();
-                replayed.push((idx, ExperimentResult::from_record(d.name, p, rec)));
-            }
-            None => todo.push((idx, d, p)),
+        match args.resume.then(|| store::fetch_cell(CACHE_DIR, d.name, p)) {
+            Some(Some(rec)) => replayed.push((idx, ExperimentResult::from_record(d.name, p, &rec))),
+            _ => todo.push((idx, d, p)),
         }
     }
-    if !replayed.is_empty() {
+    if args.resume {
         eprintln!(
-            "[resume: {} cell(s) replayed from the journal, {} still to run]",
+            "[resume: {} cell(s) served from {CACHE_DIR}, {} to run]",
             replayed.len(),
             todo.len()
         );
     }
 
-    // Cells replayed from *other* journals (merged shards) land in this
-    // run's own journal too, so the merged journal is itself a complete
-    // resume point; cells already in the own journal's verified prefix were
-    // rewritten by `open_resume` and must not be appended twice.
-    {
-        let mut j = journal.lock().expect("journal lock");
-        for &(_, d, p) in &schedule {
-            let key = (d.name.to_string(), p.key().to_string());
-            if own_keys.contains(&key) {
-                continue;
-            }
-            if let Some(rec) = completed.get(&key) {
-                if let Err(e) = j.append(rec) {
-                    eprintln!(
-                        "[failed to journal replayed {} on {}: {e}]",
-                        d.name,
-                        p.key()
-                    );
-                }
-            }
-        }
-    }
-
     // Heavy-first scheduling so expensive experiments overlap the cheap
-    // tail; completed cells are journaled (checksummed + fsynced) the
-    // moment they finish, so a SIGKILL between cells loses nothing.
+    // tail; completed cells are cached (checksummed, fsynced, renamed into
+    // place) the moment they finish, so a SIGKILL between cells loses
+    // nothing. Only a first-attempt healthy cell is cached: a retry runs on
+    // salted seeds, which the key does not describe.
     todo.sort_by_key(|&(_, d, _)| std::cmp::Reverse(d.cost));
     let t_all = Instant::now();
     type Cell = (usize, &'static str, Platform, f64, supervise::CellReport);
@@ -355,12 +264,12 @@ fn main() -> ExitCode {
         let run = d.run;
         let report = supervise::run_cell(d.name, p.key(), plan.as_ref(), deadline, move || run(p));
         let seconds = t0.elapsed().as_secs_f64();
-        if report.outcome == CellOutcome::Ok {
-            if let Some(channels) = &report.channels {
-                let rec = CellRecord::new(d.name, p, seconds, channels);
-                if let Err(e) = journal.lock().expect("journal lock").append(&rec) {
-                    eprintln!("[failed to journal {} on {}: {e}]", d.name, p.key());
-                }
+        if let (CellOutcome::Ok, 1, Some(channels)) =
+            (report.outcome, report.attempts, &report.channels)
+        {
+            let rec = CellRecord::new(d.name, p, seconds, channels);
+            if let Err(e) = store::store_cell(CACHE_DIR, &rec) {
+                eprintln!("[failed to cache {} on {}: {e}]", d.name, p.key());
             }
         }
         eprintln!("[{} on {}: {:.1}s]", d.name, p.key(), seconds);
@@ -386,7 +295,7 @@ fn main() -> ExitCode {
             ));
         } else if report.outcome == CellOutcome::EnvFailed {
             // Graceful degradation: the cell completed over its surviving
-            // environments. Report the partial results but do not journal
+            // environments. Report the partial results but do not cache
             // them — a resume must recompute the cell in full health.
             eprintln!(
                 "[DEGRADED {} on {}: {}]",
@@ -426,10 +335,10 @@ fn main() -> ExitCode {
     let results: Vec<ExperimentResult> = results.into_iter().map(|(_, r)| r).collect();
 
     if let Some((i, n)) = args.shard {
-        // Shard runs produce only their journal; `--merge N` folds the
-        // shards into the unified artifacts (and owns the golden gate).
+        // Shard runs produce only their cache files; `--merge N` serves
+        // them into the unified artifacts (and owns the golden gate).
         eprintln!(
-            "[shard {i}/{n} done: {} cell(s) journaled to {journal_path}, {} quarantined, {:.1}s]",
+            "[shard {i}/{n} done: {} cell(s) cached in {CACHE_DIR}, {} quarantined, {:.1}s]",
             results.len(),
             quarantine.len(),
             total_seconds,
@@ -482,7 +391,7 @@ fn main() -> ExitCode {
     println!("{}", t.render());
     let res = store::resume_counters();
     eprintln!(
-        "[campaign total {total_seconds:.1}s, {} experiment runs ({} replayed from the journal), {} threads, TP_SAMPLES={}]",
+        "[campaign total {total_seconds:.1}s, {} experiment runs ({} served from the cache), {} threads, TP_SAMPLES={}]",
         results.len(),
         res.cells_skipped,
         tp_bench::util::threads(),

@@ -1,6 +1,6 @@
 //! Chaos harness: prove the campaign supervisor survives every fault
 //! class, and that the durable store recovers from process death and
-//! journal damage.
+//! cell-cache damage.
 //!
 //! ```text
 //! cargo run --release -p tp-bench --bin chaos    # every fault class
@@ -16,13 +16,14 @@
 //!   control cell and asserts it still comes back clean, with zero
 //!   retries. The quarantine ledger the faulted cells produced is written
 //!   exactly as a real campaign would write it.
-//! * **Store-level** (`kill@N`, `torn-write`, `journal-rot`): the harness
+//! * **Store-level** (`kill@N`, `torn-write`, `cache-rot`): the harness
 //!   runs the real `campaign` binary as a subprocess in a scratch
-//!   directory, injures it — SIGKILL after its Nth journal record, a
-//!   truncated journal tail, a flipped byte inside a journal record — and
-//!   then runs `campaign --resume`, asserting the resumed run exits
-//!   cleanly and produces the same artifacts (byte-identical goldens,
-//!   results modulo wall times) as an undisturbed reference run.
+//!   directory, injures it — SIGKILL once N cell cache files exist, a
+//!   truncated cache file, a flipped byte inside a cache file (both on
+//!   the lexicographically first file) — and then runs `campaign
+//!   --resume`, asserting the resumed run exits cleanly and produces the
+//!   same artifacts (byte-identical goldens, results modulo wall times)
+//!   as an undisturbed reference run.
 //!
 //! Any mismatch exits nonzero.
 
@@ -32,7 +33,7 @@ use std::process::{Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 use tp_bench::campaign::{self, ChannelResult, ExperimentDef};
 use tp_bench::cli;
-use tp_bench::store::write_atomic;
+use tp_bench::store::{u64_field, write_atomic, CACHE_DIR};
 use tp_bench::supervise::{
     self, cell_timeout_override, fleet_cell, pair_cell, probe_cell, quarantine_json, run_cell,
     CellOutcome, QuarantineEntry,
@@ -44,11 +45,8 @@ use tp_sim::Platform;
 /// Where the quarantine ledger is written (same path as the campaign's).
 const QUARANTINE_PATH: &str = "goldens/quarantine.json";
 
-/// The journal path the campaign subprocess writes, relative to its cwd.
-const CHILD_JOURNAL: &str = "goldens/campaign.journal";
-
 /// The cell subset the store scenarios run: four cheap cells, enough to
-/// kill a campaign between journal appends and still finish fast.
+/// kill a campaign between cache writes and still finish fast.
 const CHILD_CELLS: &[&str] = &["--only", "tlb,btb", "--platform", "haswell,sabre"];
 
 fn expected_outcome(kind: FaultKind) -> CellOutcome {
@@ -82,12 +80,12 @@ fn cell_body(
 /// A process-level fault injected around the real `campaign` binary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum StoreFault {
-    /// SIGKILL the campaign subprocess once its journal holds N records.
+    /// SIGKILL the campaign subprocess once N cell cache files exist.
     Kill(u64),
-    /// Truncate the journal mid-record, as a crash mid-append would.
+    /// Truncate the first cache file, as a crash mid-write would.
     TornWrite,
-    /// Flip one byte inside a committed journal record.
-    JournalRot,
+    /// Flip one byte inside the first cache file.
+    CacheRot,
 }
 
 impl StoreFault {
@@ -95,14 +93,14 @@ impl StoreFault {
         vec![
             StoreFault::Kill(2),
             StoreFault::TornWrite,
-            StoreFault::JournalRot,
+            StoreFault::CacheRot,
         ]
     }
 
     fn parse(raw: &str) -> Option<StoreFault> {
         match raw.trim() {
             "torn-write" => Some(StoreFault::TornWrite),
-            "journal-rot" => Some(StoreFault::JournalRot),
+            "cache-rot" => Some(StoreFault::CacheRot),
             "kill" => Some(StoreFault::Kill(2)),
             other => other
                 .strip_prefix("kill@")
@@ -115,15 +113,7 @@ impl StoreFault {
         match self {
             StoreFault::Kill(n) => format!("kill@{n}"),
             StoreFault::TornWrite => "torn-write".to_string(),
-            StoreFault::JournalRot => "journal-rot".to_string(),
-        }
-    }
-
-    /// Scratch directory name for this class's campaign runs.
-    fn dir(self) -> String {
-        match self {
-            StoreFault::Kill(_) => "kill".to_string(),
-            other => other.name(),
+            StoreFault::CacheRot => "cache-rot".to_string(),
         }
     }
 }
@@ -157,7 +147,7 @@ fn child_samples() -> String {
 }
 
 /// A campaign subprocess invocation in `dir`. `TP_THREADS=1` makes cells
-/// finish one at a time, so `kill@N` lands between journal appends;
+/// finish one at a time, so `kill@N` lands between cache writes;
 /// results are thread-count-invariant so the reference run matches.
 fn campaign_cmd(exe: &Path, dir: &Path, resume: bool) -> Command {
     let mut c = Command::new(exe);
@@ -211,15 +201,29 @@ fn normalize_results(text: &str) -> String {
     out
 }
 
-/// Extract `"name": <int>` from machine-written JSON.
-fn json_u64(text: &str, name: &str) -> Option<u64> {
-    let tag = format!("\"{name}\": ");
-    let start = text.find(&tag)? + tag.len();
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The cell cache files in `dir`'s cache, sorted by name (temp files
+/// and `.bak` rotations excluded).
+fn cache_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join(CACHE_DIR))
+        .into_iter()
+        .flatten()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Rewrite the lexicographically first cache file in `dir` through
+/// `injure`.
+fn injure_first_cache_file(dir: &Path, injure: impl FnOnce(&mut Vec<u8>)) -> Result<(), String> {
+    let path = cache_files(dir)
+        .into_iter()
+        .next()
+        .ok_or("no cache file to injure")?;
+    let mut bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    injure(&mut bytes);
+    std::fs::write(&path, bytes).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn read_to_string(path: &Path) -> Result<String, String> {
@@ -242,9 +246,10 @@ fn reference_run(exe: &Path, base: &Path) -> Result<Reference, String> {
     })
 }
 
-/// Assert a resumed run reproduced the reference artifacts and report the
-/// resume counters it recorded in its `BENCH-campaign.json`.
-fn check_recovery(dir: &Path, reference: &Reference) -> Result<String, String> {
+/// Assert a resumed run reproduced the reference artifacts; return the
+/// (`cells_skipped`, `cells_damaged`) it recorded in its
+/// `BENCH-campaign.json`.
+fn check_recovery(dir: &Path, reference: &Reference) -> Result<(u64, u64), String> {
     let goldens = read_to_string(&dir.join("goldens.json"))?;
     if goldens != reference.goldens {
         return Err("resumed goldens.json differs from the reference run's".to_string());
@@ -260,11 +265,9 @@ fn check_recovery(dir: &Path, reference: &Reference) -> Result<String, String> {
         .find("\"resume\": ")
         .map(|i| &bench[i..])
         .ok_or("BENCH-campaign.json has no resume object")?;
-    let skipped = json_u64(resume, "cells_skipped").unwrap_or(0);
-    let recovered = json_u64(resume, "records_recovered").unwrap_or(0);
-    let truncated = json_u64(resume, "records_truncated").unwrap_or(0);
-    Ok(format!(
-        "skipped {skipped}, recovered {recovered}, truncated {truncated}"
+    Ok((
+        u64_field(resume, "cells_skipped").unwrap_or(0),
+        u64_field(resume, "cells_damaged").unwrap_or(0),
     ))
 }
 
@@ -276,104 +279,61 @@ fn run_store_fault(
     base: &Path,
     reference: &Reference,
 ) -> Result<String, String> {
-    let dir = base.join(fault.dir());
+    let dir = base.join(fault.name());
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let journal = dir.join(CHILD_JOURNAL);
-
     match fault {
         StoreFault::Kill(n) => {
-            // Kill the campaign once its journal holds n cell records
-            // (header line + n), then prove --resume finishes the rest.
+            // Kill the campaign once n cells are cached, then prove
+            // --resume finishes the rest.
             let mut child = campaign_cmd(exe, &dir, false)
                 .stderr(Stdio::null())
                 .spawn()
                 .map_err(|e| format!("cannot spawn campaign: {e}"))?;
             let deadline = Instant::now() + Duration::from_secs(300);
-            let lines = |p: &Path| {
-                std::fs::read(p)
-                    .map(|b| b.iter().filter(|&&c| c == b'\n').count() as u64)
-                    .unwrap_or(0)
-            };
-            let mut finished_early = false;
-            loop {
-                if child
-                    .try_wait()
-                    .map_err(|e| format!("wait on campaign: {e}"))?
-                    .is_some()
-                {
-                    finished_early = true;
-                    break;
-                }
-                // Header line + n cell records.
-                if lines(&journal) > n {
+            while child
+                .try_wait()
+                .map_err(|e| format!("wait on campaign: {e}"))?
+                .is_none()
+            {
+                let cached = cache_files(&dir).len() as u64 >= n;
+                if cached || Instant::now() > deadline {
                     let _ = child.kill();
                     let _ = child.wait();
+                    if !cached {
+                        return Err(format!("campaign never cached {n} cell(s) in time"));
+                    }
                     break;
-                }
-                if Instant::now() > deadline {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(format!(
-                        "campaign never reached {n} journal record(s) before the deadline"
-                    ));
                 }
                 std::thread::sleep(Duration::from_millis(10));
             }
-            if finished_early {
-                eprintln!("[kill@{n}: campaign finished before the kill; resume still verified]");
-            }
         }
+        // A full run, then the first cache file torn through its trailer,
+        // or one byte flipped inside its record: that cell recomputes,
+        // every other cell is served.
         StoreFault::TornWrite => {
-            // A full run, then a crash-mid-append torn tail.
             run_campaign(exe, &dir, false)?;
-            let bytes = std::fs::read(&journal).map_err(|e| format!("{CHILD_JOURNAL}: {e}"))?;
-            if bytes.len() < 32 {
-                return Err("journal too short to tear".to_string());
-            }
-            std::fs::write(&journal, &bytes[..bytes.len() - 7])
-                .map_err(|e| format!("{CHILD_JOURNAL}: {e}"))?;
+            injure_first_cache_file(&dir, |b| b.truncate(b.len().saturating_sub(7)))?;
         }
-        StoreFault::JournalRot => {
-            // A full run, then one flipped byte inside the second cell
-            // record: the record before it must be served, everything at
-            // and after it recomputed.
+        StoreFault::CacheRot => {
             run_campaign(exe, &dir, false)?;
-            let mut bytes = std::fs::read(&journal).map_err(|e| format!("{CHILD_JOURNAL}: {e}"))?;
-            let newlines: Vec<usize> = bytes
-                .iter()
-                .enumerate()
-                .filter(|&(_, &b)| b == b'\n')
-                .map(|(i, _)| i)
-                .collect();
-            let target = newlines
-                .get(1)
-                .map(|&i| i + 60)
-                .filter(|&i| i < bytes.len())
-                .ok_or("journal too short to rot")?;
-            bytes[target] ^= 0x01;
-            std::fs::write(&journal, bytes).map_err(|e| format!("{CHILD_JOURNAL}: {e}"))?;
+            injure_first_cache_file(&dir, |b| {
+                if let Some(x) = b.get_mut(60) {
+                    *x ^= 1;
+                }
+            })?;
         }
     }
 
     run_campaign(exe, &dir, true)?;
-    let summary = check_recovery(&dir, reference)?;
-
-    // The damage classes must actually have skipped/truncated something —
-    // a recovery that silently re-ran everything would also "match".
-    let bench = read_to_string(&dir.join("BENCH-campaign.json"))?;
-    let resume = &bench[bench.find("\"resume\": ").unwrap_or(0)..];
-    match fault {
-        StoreFault::Kill(_) => {}
-        StoreFault::TornWrite | StoreFault::JournalRot => {
-            if json_u64(resume, "records_truncated").unwrap_or(0) == 0 {
-                return Err("damaged journal reported zero truncated records".to_string());
-            }
-            if json_u64(resume, "cells_skipped").unwrap_or(0) == 0 {
-                return Err("resume served nothing from the journal".to_string());
-            }
-        }
+    let (skipped, damaged) = check_recovery(&dir, reference)?;
+    // The damage classes must actually have served and detected something
+    // — a recovery that silently re-ran everything would also "match".
+    if !matches!(fault, StoreFault::Kill(_)) && (damaged == 0 || skipped == 0) {
+        return Err(format!(
+            "resume served {skipped} cell(s) and detected {damaged} damaged; expected >= 1 each"
+        ));
     }
-    Ok(summary)
+    Ok(format!("skipped {skipped}, damaged {damaged}"))
 }
 
 // ---------------------------------------------------------- randomized sweep

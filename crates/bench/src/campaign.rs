@@ -15,6 +15,7 @@
 //! gate is robust against single-shot boundary noise in the §5.1 shuffle
 //! test.
 
+use crate::store::{num_field, str_field};
 use crate::util::samples;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -43,9 +44,9 @@ pub struct ChannelResult {
     pub samples: usize,
 }
 
-/// Base seed every vote seed is derived from. Part of the campaign
-/// journal's cache key ([`crate::store::JournalHeader`]): changing the
-/// seeds invalidates every cached cell.
+/// Base seed every vote seed is derived from. Part of every campaign cell
+/// cache key ([`crate::store::cell_key`]): changing the seeds invalidates
+/// every cached cell.
 pub const VOTE_SEED_BASE: u64 = 0x5EED;
 
 /// Seeds for the three independent repetitions behind every pinned
@@ -121,11 +122,11 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// Rebuild a result from a replayed journal record. `experiment` is
-    /// the registry's static name for the cell (the journal string is only
+    /// Rebuild a result from a cached cell record. `experiment` is the
+    /// registry's static name for the cell (the record's string is only
     /// used to find it); channel strings are interned by the store. The
-    /// record carries bit-exact `f64`s, so re-serialising a replayed cell
-    /// is byte-identical to serialising the original run.
+    /// record carries bit-exact `f64`s, so re-serialising a served cell is
+    /// byte-identical to serialising the original run.
     #[must_use]
     pub fn from_record(
         experiment: &'static str,
@@ -525,16 +526,13 @@ pub fn bench_json(results: &[ExperimentResult], total_seconds: f64) -> String {
         sup.deadlocks,
         sup.stack_overflows,
     );
-    // Resume/durability accounting: a clean (non-resumed, uncontended)
-    // campaign reports all zeroes here, and CI gates on exactly that.
+    // Resume/durability accounting: a clean (non-resumed) campaign
+    // reports all zeroes here, and CI gates on exactly that.
     let res = crate::store::resume_counters();
     let _ = writeln!(
         s,
-        "  \"resume\": {{\"cells_skipped\": {}, \"records_recovered\": {}, \"records_truncated\": {}, \"lock_waits\": {}}},",
-        res.cells_skipped,
-        res.records_recovered,
-        res.records_truncated,
-        res.lock_waits,
+        "  \"resume\": {{\"cells_skipped\": {}, \"cells_damaged\": {}}},",
+        res.cells_skipped, res.cells_damaged,
     );
     s.push_str("  \"cells\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -602,26 +600,10 @@ pub fn golden_json_from_map(m: &BTreeMap<VerdictKey, String>, tp_samples: f64) -
     s
 }
 
-/// Extract a `"field": "value"` string from one line of golden JSON.
-/// (The golden file is machine-written, one verdict object per line; a
-/// full JSON parser would be a dependency for no robustness gain.)
-fn field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
 /// Extract the `tp_samples` header a golden file was pinned at, if any.
 #[must_use]
 pub fn golden_tp_samples(text: &str) -> Option<f64> {
-    let line = text.lines().find(|l| l.contains("\"tp_samples\":"))?;
-    line.split(':')
-        .nth(1)?
-        .trim()
-        .trim_end_matches(',')
-        .parse()
-        .ok()
+    num_field(text, "tp_samples")
 }
 
 /// Parse a golden verdict file into the canonical map.
@@ -630,11 +612,11 @@ pub fn parse_golden(text: &str) -> BTreeMap<VerdictKey, String> {
     let mut m = BTreeMap::new();
     for line in text.lines() {
         let (Some(exp), Some(plat), Some(chan), Some(mech), Some(verdict)) = (
-            field(line, "experiment"),
-            field(line, "platform"),
-            field(line, "channel"),
-            field(line, "mechanism"),
-            field(line, "verdict"),
+            str_field(line, "experiment"),
+            str_field(line, "platform"),
+            str_field(line, "channel"),
+            str_field(line, "mechanism"),
+            str_field(line, "verdict"),
         ) else {
             continue;
         };

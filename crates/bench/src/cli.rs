@@ -58,7 +58,8 @@ pub fn parse_u64(flag: &str, s: &str) -> Result<u64, String> {
 }
 
 /// Parse a `--platform` value: `all`, or a comma-separated list of
-/// registered platform keys.
+/// registered platform keys. A repeated key is kept once, at its first
+/// position.
 ///
 /// # Errors
 /// When a key is not in the platform registry.
@@ -66,21 +67,29 @@ pub fn platform_list(spec: &str) -> Result<Vec<Platform>, String> {
     if spec == "all" {
         return Ok(Platform::ALL.to_vec());
     }
-    spec.split(',')
-        .map(|key| {
-            Platform::from_key(key).ok_or_else(|| {
-                let known: Vec<_> = Platform::ALL.iter().map(|p| p.key()).collect();
-                format!("unknown platform {key:?}; known: {}, all", known.join(", "))
-            })
-        })
-        .collect()
+    let mut list = Vec::new();
+    for key in spec.split(',') {
+        let p = Platform::from_key(key).ok_or_else(|| {
+            let known: Vec<_> = Platform::ALL.iter().map(|p| p.key()).collect();
+            format!("unknown platform {key:?}; known: {}, all", known.join(", "))
+        })?;
+        push_unique(&mut list, p);
+    }
+    Ok(list)
+}
+
+fn push_unique(list: &mut Vec<Platform>, p: Platform) {
+    if !list.contains(&p) {
+        list.push(p);
+    }
 }
 
 /// The flags shared across tp-bench binaries. Each binary enables the
 /// subset it honours; [`Common::accept`] consumes an enabled flag and
 /// leaves everything else to the binary's own match.
 pub struct Common {
-    /// Platforms selected by `--platform` (defaults to the full registry).
+    /// Platforms selected by `--platform` (defaults to the full registry),
+    /// each once, in first-seen order.
     pub platforms: Vec<Platform>,
     /// Whether `--platform` appeared explicitly.
     pub platforms_given: bool,
@@ -130,11 +139,12 @@ impl Common {
         match flag {
             "--platform" => {
                 let list = platform_list(&it.value("--platform")?)?;
-                if self.platforms_given {
-                    self.platforms.extend(list);
-                } else {
-                    self.platforms = list;
+                if !self.platforms_given {
+                    self.platforms.clear();
                     self.platforms_given = true;
+                }
+                for p in list {
+                    push_unique(&mut self.platforms, p);
                 }
                 Ok(true)
             }
@@ -216,5 +226,23 @@ mod tests {
             assert!(c.accept(&flag, &mut it).unwrap());
         }
         assert_eq!(c.platforms.len(), 2);
+    }
+
+    #[test]
+    fn duplicate_platforms_run_once_in_first_seen_order() {
+        use Platform::{Haswell, Sabre};
+        assert_eq!(platform_list("haswell,haswell").unwrap(), [Haswell]);
+        assert_eq!(
+            platform_list("sabre,haswell,sabre").unwrap(),
+            [Sabre, Haswell]
+        );
+        let flags = ["--platform", "haswell", "--platform", "sabre,haswell"];
+        let mut it = ArgStream::new(flags.into_iter().chain(["--platform", "all"]));
+        let mut c = Common::new();
+        while let Some(flag) = it.next() {
+            assert!(c.accept(&flag, &mut it).unwrap());
+        }
+        assert_eq!(&c.platforms[..2], [Haswell, Sabre]);
+        assert_eq!(c.platforms.len(), Platform::ALL.len(), "no repeats");
     }
 }

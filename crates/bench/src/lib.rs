@@ -19,6 +19,8 @@ pub mod channels;
 pub mod cli;
 pub mod cloud;
 pub mod splash;
+#[cfg(test)]
+mod srcfp;
 pub mod store;
 pub mod supervise;
 pub mod tables;

@@ -1,5 +1,5 @@
-//! The durable artifact store: crash-consistent writes, the per-cell
-//! campaign journal, and the advisory campaign lock.
+//! The durable artifact store: crash-consistent writes and the per-cell
+//! campaign cache.
 //!
 //! Every artifact the harness emits (`BENCH.json`, `BENCH-campaign.json`,
 //! `campaign-results.json`, `goldens/verdicts.json`, the quarantine
@@ -8,40 +8,49 @@
 //! the artifacts durable and the campaign *resumable*:
 //!
 //! * [`write_atomic`] writes payload + a self-describing checksum trailer
-//!   to a temp file and renames it into place, rotating the previous good
-//!   version to `.bak`; [`read_artifact`] verifies the trailer (FNV-1a
-//!   with the same SplitMix64 finalizer as [`tp_core::StateHasher`]) and
-//!   falls back to `.bak` when the primary is torn or rotted.
-//! * [`Journal`] is an append-only JSON-lines file
-//!   (`goldens/campaign.journal`) holding one checksummed record per
-//!   completed campaign cell, flushed as each cell finishes. `campaign
-//!   --resume` replays it — verifying every record, truncating at the
-//!   first torn one — and skips already-completed cells, so an
-//!   interrupted campaign finishes without re-running finished work.
-//! * [`CampaignLock`] is an advisory lock file next to the journal so two
-//!   concurrent campaigns can't interleave appends into one journal.
-//! * [`resume_counters`] accounts for all of the above in the `resume`
-//!   object of `BENCH-campaign.json`, which CI gates to all-zero on a
-//!   clean (uninterrupted, unlocked-against) run.
+//!   to a uniquely named temp file and renames it into place, rotating the
+//!   previous good version to `.bak`; [`read_artifact`] verifies the
+//!   trailer (FNV-1a with the same SplitMix64 finalizer as
+//!   [`tp_core::StateHasher`]) and falls back to `.bak` when the primary
+//!   is torn or rotted.
+//! * The cell cache holds one such file per completed campaign cell,
+//!   `goldens/cache/<experiment>.<platform>.<key:016x>.json`
+//!   ([`store_cell`], [`fetch_cell`]). The key ([`cell_key`]) hashes the
+//!   store schema, the cell, `TP_SAMPLES`, the vote-seed base and
+//!   [`SRC_FNV`], a build-time fingerprint of every source file, so a
+//!   cached cell is never served to code other than the code that
+//!   computed it. `campaign --resume` serves hits and runs the misses.
+//! * [`resume_counters`] accounts for cache hits and damaged cache files
+//!   in the `resume` object of `BENCH-campaign.json`, which CI gates to
+//!   all-zero on a clean run.
 //!
-//! Records are keyed on (experiment, platform, platform-config hash) per
-//! record plus (schema, `TP_SAMPLES`, vote-seed base, code version) in the
-//! journal header: any mismatch invalidates the cache rather than serving
-//! stale results.
+//! A torn, rotted or trailer-less cache file is a miss: its cell
+//! recomputes and the file is rewritten. Stale files (other keys) are
+//! never read and never evicted; `rm -rf goldens/cache` clears them.
 
-use crate::campaign::ChannelResult;
-use std::collections::BTreeMap;
+use crate::campaign::{ChannelResult, VOTE_SEED_BASE};
+use crate::util::effort;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 use tp_core::StateHasher;
 use tp_sim::Platform;
 
-/// Journal/trailer format version; bump to invalidate every cached cell.
+/// Trailer and cache-record format version; bump to invalidate every
+/// cached cell.
 pub const STORE_SCHEMA: u32 = 1;
+
+/// Build-time fingerprint of every `.rs` file under `crates/*/src` and
+/// `vendor/*/src` (computed by `build.rs`, see `srcfp.rs`), as 16 hex
+/// digits. Part of every [`cell_key`]: any source edit invalidates every
+/// cached cell.
+pub const SRC_FNV: &str = env!("TP_SRC_FNV");
+
+/// Where `campaign` caches completed cells, relative to its working
+/// directory.
+pub const CACHE_DIR: &str = "goldens/cache";
 
 /// FNV-1a over `bytes` with the SplitMix64 finalizer — byte-compatible
 /// with [`tp_core::StateHasher`], the hash already trusted for kernel
@@ -58,24 +67,18 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 // ---------------------------------------------------------------- counters
 
 static CELLS_SKIPPED: AtomicU64 = AtomicU64::new(0);
-static RECORDS_RECOVERED: AtomicU64 = AtomicU64::new(0);
-static RECORDS_TRUNCATED: AtomicU64 = AtomicU64::new(0);
-static LOCK_WAITS: AtomicU64 = AtomicU64::new(0);
+static CELLS_DAMAGED: AtomicU64 = AtomicU64::new(0);
 
 /// Resume/durability accounting, serialised into `BENCH-campaign.json` as
-/// the `resume` object. A clean (non-resumed, uncontended) campaign
-/// reports zeroes everywhere and CI gates on exactly that.
+/// the `resume` object. A clean (non-resumed) campaign reports zeroes
+/// everywhere and CI gates on exactly that.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResumeCounters {
-    /// Cells skipped because a verified journal record already covers them.
+    /// Cells served from a verified cache file instead of running.
     pub cells_skipped: u64,
-    /// Journal records that verified and were replayed.
-    pub records_recovered: u64,
-    /// Journal records dropped at or after the first torn/rotted one.
-    pub records_truncated: u64,
-    /// Times the advisory campaign lock was held by a live process and had
-    /// to be waited for.
-    pub lock_waits: u64,
+    /// Cache files found torn, rotted or trailer-less; their cells
+    /// recomputed.
+    pub cells_damaged: u64,
 }
 
 /// Snapshot the resume counters.
@@ -83,22 +86,8 @@ pub struct ResumeCounters {
 pub fn resume_counters() -> ResumeCounters {
     ResumeCounters {
         cells_skipped: CELLS_SKIPPED.load(Ordering::Relaxed),
-        records_recovered: RECORDS_RECOVERED.load(Ordering::Relaxed),
-        records_truncated: RECORDS_TRUNCATED.load(Ordering::Relaxed),
-        lock_waits: LOCK_WAITS.load(Ordering::Relaxed),
+        cells_damaged: CELLS_DAMAGED.load(Ordering::Relaxed),
     }
-}
-
-/// Record that one scheduled cell was served from the journal.
-pub fn note_cell_skipped() {
-    CELLS_SKIPPED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Fold one journal load's accounting into the global counters (used for
-/// shard journals, which are loaded read-only rather than resumed).
-pub fn note_load(report: &LoadReport) {
-    RECORDS_RECOVERED.fetch_add(report.recovered, Ordering::Relaxed);
-    RECORDS_TRUNCATED.fetch_add(report.truncated, Ordering::Relaxed);
 }
 
 // ------------------------------------------------------- checksum trailer
@@ -185,11 +174,18 @@ pub fn bak_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// A temp sibling of `path` no other writer shares:
+/// `<name>.<pid>.<n>.tmp`, `n` counting writes in this process.
 fn tmp_path(path: &Path) -> PathBuf {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
     let mut name = path
         .file_name()
         .map_or_else(Default::default, |n| n.to_os_string());
-    name.push(".tmp");
+    name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        WRITES.fetch_add(1, Ordering::Relaxed)
+    ));
     path.with_file_name(name)
 }
 
@@ -219,7 +215,9 @@ pub fn read_artifact(path: impl AsRef<Path>) -> Result<(String, Provenance), Str
 /// Write `payload` + checksum trailer atomically: temp file in the same
 /// directory, `sync_all`, then rename over `path`. The previous version is
 /// rotated to `.bak` first — but only when it verifies, so a torn primary
-/// never clobbers a good backup.
+/// never clobbers a good backup. Every call writes its own temp file, so
+/// concurrent writers of one path (threads or processes) each rename a
+/// complete file into place and the last rename wins.
 ///
 /// # Errors
 /// Propagates I/O errors from the temp write or the final rename.
@@ -255,18 +253,23 @@ pub fn write_atomic(path: impl AsRef<Path>, payload: &str) -> std::io::Result<()
 }
 
 // ------------------------------------------------------- field extraction
-// The journal is machine-written one record per line, same as the golden
-// and bench files; a full JSON parser would be a dependency for no
-// robustness gain (every line is additionally checksummed).
+// Every file the harness reads back is machine-written with one object
+// per line (records, golden verdicts, bench cells); a full JSON parser
+// would be a dependency for no robustness gain (the files are
+// checksummed). These are the one set of extractors for all of them.
 
-fn str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
+/// The string value of the first `"name": "value"` in `line`.
+#[must_use]
+pub fn str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
     let tag = format!("\"{name}\": \"");
     let start = line.find(&tag)? + tag.len();
     let end = line[start..].find('"')?;
     Some(&line[start..start + end])
 }
 
-fn num_field(line: &str, name: &str) -> Option<f64> {
+/// The number value of the first `"name": <number>` in `line`.
+#[must_use]
+pub fn num_field(line: &str, name: &str) -> Option<f64> {
     let tag = format!("\"{name}\": ");
     let start = line.find(&tag)? + tag.len();
     let rest = &line[start..];
@@ -276,7 +279,9 @@ fn num_field(line: &str, name: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-fn u64_field(line: &str, name: &str) -> Option<u64> {
+/// The unsigned integer value of the first `"name": <digits>` in `line`.
+#[must_use]
+pub fn u64_field(line: &str, name: &str) -> Option<u64> {
     let tag = format!("\"{name}\": ");
     let start = line.find(&tag)? + tag.len();
     let rest = &line[start..];
@@ -286,7 +291,9 @@ fn u64_field(line: &str, name: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-fn bool_field(line: &str, name: &str) -> Option<bool> {
+/// The boolean value of the first `"name": true|false` in `line`.
+#[must_use]
+pub fn bool_field(line: &str, name: &str) -> Option<bool> {
     let tag = format!("\"{name}\": ");
     let start = line.find(&tag)? + tag.len();
     let rest = &line[start..];
@@ -299,98 +306,46 @@ fn bool_field(line: &str, name: &str) -> Option<bool> {
     }
 }
 
-// --------------------------------------------------------- sealed records
+// -------------------------------------------------------------- cell cache
 
-/// Seal one record body into a checksummed journal line.
-fn seal(body: &str) -> String {
-    format!(
-        "{{\"fnv\": \"{:016x}\", \"record\": {body}}}\n",
-        fnv64(body.as_bytes())
+/// The cache key of one cell: [`fnv64`] over a canonical string of the
+/// store schema, the experiment, the platform key, the `TP_SAMPLES` bits,
+/// the vote-seed base and the source fingerprint. Changing any one of
+/// them changes the key, so the cached cell is simply not found.
+#[must_use]
+pub fn cell_key(experiment: &str, platform: &str, tp_samples: f64, seed: u64, src: &str) -> u64 {
+    fnv64(
+        format!(
+            "schema={STORE_SCHEMA}\0experiment={experiment}\0platform={platform}\0\
+             tp_samples={:016x}\0seed={seed:016x}\0src={src}",
+            tp_samples.to_bits()
+        )
+        .as_bytes(),
     )
 }
 
-/// Verify one journal line and return the record body. `None` when the
-/// line is torn, rotted or not a sealed record at all.
-fn unseal(line: &str) -> Option<&str> {
-    const PREFIX: &str = "{\"fnv\": \"";
-    const MID: &str = "\", \"record\": ";
-    let rest = line.strip_prefix(PREFIX)?;
-    let sum = u64::from_str_radix(rest.get(..16)?, 16).ok()?;
-    let body = rest.get(16..)?.strip_prefix(MID)?.strip_suffix('}')?;
-    (fnv64(body.as_bytes()) == sum).then_some(body)
-}
-
-/// The journal header: the run parameters every cached cell is keyed on.
-/// A journal whose header differs from the current run's in any field is
-/// discarded wholesale — stale caches recompute, never serve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalHeader {
-    /// Journal format version ([`STORE_SCHEMA`]).
-    pub schema: u32,
-    /// The `TP_SAMPLES` effort scale the cells ran at.
-    pub tp_samples: f64,
-    /// The base vote seed (`campaign::VOTE_SEED_BASE`).
-    pub seed: u64,
-    /// Code version stamp; any crate-version bump invalidates the cache.
-    pub code_version: String,
-}
-
-impl JournalHeader {
-    /// The header for the current process's run parameters.
-    #[must_use]
-    pub fn current() -> Self {
-        JournalHeader {
-            schema: STORE_SCHEMA,
-            tp_samples: crate::util::effort(),
-            seed: crate::campaign::VOTE_SEED_BASE,
-            code_version: code_version(),
-        }
-    }
-
-    fn body(&self) -> String {
-        format!(
-            "{{\"kind\": \"header\", \"schema\": {}, \"tp_samples\": {}, \"seed\": {}, \"code_version\": \"{}\"}}",
-            self.schema, self.tp_samples, self.seed, self.code_version,
-        )
-    }
-
-    fn parse(body: &str) -> Option<Self> {
-        if str_field(body, "kind") != Some("header") {
-            return None;
-        }
-        Some(JournalHeader {
-            schema: u64_field(body, "schema")? as u32,
-            tp_samples: num_field(body, "tp_samples")?,
-            seed: u64_field(body, "seed")?,
-            code_version: str_field(body, "code_version")?.to_string(),
-        })
-    }
-}
-
-/// The code-version component of the journal key: the crate version plus
-/// the store schema, so either bump invalidates every cached cell.
+/// [`cell_key`] under this process's run parameters and this build's
+/// sources.
 #[must_use]
-pub fn code_version() -> String {
-    format!("{}+store{STORE_SCHEMA}", env!("CARGO_PKG_VERSION"))
+pub fn current_key(experiment: &str, platform: &str) -> u64 {
+    cell_key(experiment, platform, effort(), VOTE_SEED_BASE, SRC_FNV)
 }
 
-/// The platform-config component of the journal key: a fingerprint of the
-/// full [`tp_sim::PlatformConfig`], so editing a platform's geometry
-/// invalidates its cached cells but nobody else's.
+/// The cache file of one cell under `key`, inside `dir`.
 #[must_use]
-pub fn config_fingerprint(platform: Platform) -> u64 {
-    fnv64(format!("{:?}", platform.config()).as_bytes())
+pub fn cache_path(dir: &Path, experiment: &str, platform: &str, key: u64) -> PathBuf {
+    dir.join(format!("{experiment}.{platform}.{key:016x}.json"))
 }
 
-/// One completed campaign cell, as journaled and replayed.
+/// One completed campaign cell, as cached and served.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRecord {
     /// Experiment registry name.
     pub experiment: String,
     /// Platform key.
     pub platform: String,
-    /// [`config_fingerprint`] of the platform at record time.
-    pub config_fnv: u64,
+    /// The [`cell_key`] the record was written under.
+    pub key: u64,
     /// The cell's wall time, bit-exact (for byte-identical re-serialisation).
     pub seconds: f64,
     /// The cell's channel measurements.
@@ -398,7 +353,7 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
-    /// Capture a completed cell.
+    /// Capture a completed cell under the [`current_key`].
     #[must_use]
     pub fn new(
         experiment: &str,
@@ -409,31 +364,25 @@ impl CellRecord {
         CellRecord {
             experiment: experiment.to_string(),
             platform: platform.key().to_string(),
-            config_fnv: config_fingerprint(platform),
+            key: current_key(experiment, platform.key()),
             seconds,
             channels: channels.to_vec(),
         }
     }
 
-    /// The (experiment, platform) identity of this record.
-    #[must_use]
-    pub fn key(&self) -> (String, String) {
-        (self.experiment.clone(), self.platform.clone())
-    }
-
-    /// The record's one-line JSON body, as sealed into the journal.
-    /// Carries every `f64` both human-readable and as raw bits
-    /// (`*_bits`), so [`parse`](CellRecord::parse) round-trips bit-exactly
-    /// and a replayed cell re-serialises byte-identically.
+    /// The record's one-line JSON body, as cached. Carries every `f64`
+    /// both human-readable and as raw bits (`*_bits`), so
+    /// [`parse`](CellRecord::parse) round-trips bit-exactly and a served
+    /// cell re-serialises byte-identically.
     #[must_use]
     pub fn body(&self) -> String {
         let mut s = String::new();
         let _ = write!(
             s,
-            "{{\"kind\": \"cell\", \"experiment\": \"{}\", \"platform\": \"{}\", \"config_fnv\": \"{:016x}\", \"seconds_bits\": {}, \"seconds\": {:.3}, \"channels\": [",
+            "{{\"kind\": \"cell\", \"experiment\": \"{}\", \"platform\": \"{}\", \"key\": \"{:016x}\", \"seconds_bits\": {}, \"seconds\": {:.3}, \"channels\": [",
             self.experiment,
             self.platform,
-            self.config_fnv,
+            self.key,
             self.seconds.to_bits(),
             self.seconds,
         );
@@ -470,7 +419,7 @@ impl CellRecord {
         }
         let experiment = str_field(body, "experiment")?.to_string();
         let platform = str_field(body, "platform")?.to_string();
-        let config_fnv = u64::from_str_radix(str_field(body, "config_fnv")?, 16).ok()?;
+        let key = u64::from_str_radix(str_field(body, "key")?, 16).ok()?;
         let seconds = f64::from_bits(u64_field(body, "seconds_bits")?);
         let start = body.find("\"channels\": [")? + "\"channels\": [".len();
         let inner = body.get(start..)?.strip_suffix("]}")?;
@@ -492,16 +441,16 @@ impl CellRecord {
         Some(CellRecord {
             experiment,
             platform,
-            config_fnv,
+            key,
             seconds,
             channels,
         })
     }
 }
 
-/// Intern a journal string as `&'static str` (the campaign result types
-/// carry static names). The table dedups across resumes in one process so
-/// repeated replays don't leak the same handful of identifiers twice.
+/// Intern a cached string as `&'static str` (the campaign result types
+/// carry static names). The table dedups across lookups in one process so
+/// serving many cells doesn't leak the same handful of identifiers twice.
 fn leak_str(s: &str) -> &'static str {
     use std::collections::BTreeSet;
     use std::sync::{Mutex, OnceLock};
@@ -518,285 +467,69 @@ fn leak_str(s: &str) -> &'static str {
     leaked
 }
 
-/// What a journal load recovered, and what it had to drop.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LoadReport {
-    /// Verified records, in append order (first write of a key wins).
-    pub records: Vec<CellRecord>,
-    /// Records replayed (equals `records.len()`).
-    pub recovered: u64,
-    /// Lines dropped at or after the first torn/rotted record (or the whole
-    /// journal, when its header doesn't match this run).
-    pub truncated: u64,
-    /// 0-based index (counting cell records) of the first damaged record,
-    /// when any was dropped.
-    pub first_damaged: Option<usize>,
-    /// Human-readable reason for any truncation.
-    pub why: Option<String>,
+/// Look up the cell (`experiment`, `platform`) under `key` in the cache
+/// at `dir`: `Ok(Some)` is a hit, `Ok(None)` a cell with no file (nor
+/// `.bak`), `Err` a file that cannot be trusted. Touches no counter.
+///
+/// A file is a hit only when [`read_artifact`] verifies it (directly or
+/// from its `.bak`) and its record parses for that cell and key. A
+/// trailer-less file counts as damage, never as legacy content: a flip
+/// inside the trailer tag makes a file look trailer-less.
+///
+/// # Errors
+/// Names the damaged file and what is wrong with it.
+pub fn lookup(
+    dir: &Path,
+    experiment: &str,
+    platform: &str,
+    key: u64,
+) -> Result<Option<CellRecord>, String> {
+    let path = cache_path(dir, experiment, platform, key);
+    if !path.exists() && !bak_path(&path).exists() {
+        return Ok(None);
+    }
+    let (text, provenance) = read_artifact(&path)?;
+    if provenance == Provenance::Unchecksummed {
+        return Err(format!("{}: no checksum trailer", path.display()));
+    }
+    match CellRecord::parse(text.trim_end()) {
+        Some(rec) if rec.key == key && rec.experiment == experiment && rec.platform == platform => {
+            Ok(Some(rec))
+        }
+        _ => Err(format!("{}: not a record of this cell", path.display())),
+    }
 }
 
-/// Replay journal `text`, verifying every record against `expect` and
-/// truncating at the first torn one. Pure string-level core of
-/// [`Journal::load`], exposed for the damage property tests.
+/// Serve one cell from the cache in `dir` under the [`current_key`].
+/// Counts a hit as `cells_skipped` and damage as `cells_damaged` (logged
+/// on stderr); `None` means the cell must run.
 #[must_use]
-pub fn replay_journal(text: &str, expect: &JournalHeader) -> LoadReport {
-    let mut report = LoadReport::default();
-    let mut lines = text.lines();
-    let count_cells = |s: &str| s.lines().filter(|l| !l.trim().is_empty()).count() as u64;
-    match lines.next() {
-        None => return report,
-        Some(first) => {
-            let header = unseal(first).and_then(JournalHeader::parse);
-            if header.as_ref() != Some(expect) {
-                report.truncated = count_cells(text).saturating_sub(1);
-                report.first_damaged = Some(0);
-                report.why = Some(match header {
-                    Some(h) => {
-                        format!("journal header mismatch (journal: {h:?}, this run: {expect:?})")
-                    }
-                    None => "journal header torn or unparseable".to_string(),
-                });
-                return report;
-            }
+pub fn fetch_cell(
+    dir: impl AsRef<Path>,
+    experiment: &str,
+    platform: Platform,
+) -> Option<CellRecord> {
+    let key = current_key(experiment, platform.key());
+    match lookup(dir.as_ref(), experiment, platform.key(), key) {
+        Ok(hit) => {
+            CELLS_SKIPPED.fetch_add(u64::from(hit.is_some()), Ordering::Relaxed);
+            hit
+        }
+        Err(why) => {
+            CELLS_DAMAGED.fetch_add(1, Ordering::Relaxed);
+            eprintln!("[cache: {why}; recomputing]");
+            None
         }
     }
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match unseal(line).and_then(CellRecord::parse) {
-            Some(rec) => {
-                report.recovered += 1;
-                report.records.push(rec);
-            }
-            None => {
-                // Append-only file: everything after the first damaged
-                // record is unreliable too. Truncate, never skip-and-trust.
-                report.truncated = count_cells(text)
-                    .saturating_sub(1) // header
-                    .saturating_sub(report.recovered);
-                report.first_damaged = Some(i);
-                report.why = Some(format!("record #{i} torn or rotted"));
-                return report;
-            }
-        }
-    }
-    report
 }
 
-/// The append-only per-cell journal.
+/// Cache one completed cell in `dir`, under the key it carries.
 ///
-/// `create` starts a fresh journal (header only); `open_resume` replays an
-/// existing one, rewrites it to just its verified prefix (physically
-/// truncating any torn tail) and reopens for append. Every [`append`] is
-/// flushed and fsynced before it returns, so a completed cell survives a
-/// SIGKILL in the very next instruction.
-///
-/// [`append`]: Journal::append
-#[derive(Debug)]
-pub struct Journal {
-    file: fs::File,
-    path: PathBuf,
-}
-
-impl Journal {
-    /// Start a fresh journal at `path` containing only the header record.
-    ///
-    /// # Errors
-    /// Propagates I/O errors.
-    pub fn create(path: impl AsRef<Path>, header: &JournalHeader) -> std::io::Result<Self> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir)?;
-            }
-        }
-        let mut file = fs::File::create(path)?;
-        file.write_all(seal(&header.body()).as_bytes())?;
-        file.sync_all()?;
-        Ok(Journal {
-            file,
-            path: path.to_path_buf(),
-        })
-    }
-
-    /// Replay the journal at `path` (missing file ⇒ empty report), rewrite
-    /// it to its verified prefix, and reopen it for appending. Updates the
-    /// global [`resume_counters`].
-    ///
-    /// # Errors
-    /// Propagates I/O errors from the rewrite.
-    pub fn open_resume(
-        path: impl AsRef<Path>,
-        header: &JournalHeader,
-    ) -> std::io::Result<(Self, LoadReport)> {
-        let path = path.as_ref();
-        let report = Self::load(path, header);
-        note_load(&report);
-        if let Some(why) = &report.why {
-            eprintln!(
-                "[journal {}: {} — {} record(s) recovered, {} dropped and will recompute]",
-                path.display(),
-                why,
-                report.recovered,
-                report.truncated,
-            );
-        }
-        // Rewrite to the verified prefix so the torn tail can't shadow the
-        // records we are about to append after it.
-        let mut journal = Self::create(path, header)?;
-        for rec in &report.records {
-            journal.append_unsynced(rec)?;
-        }
-        journal.file.sync_all()?;
-        Ok((journal, report))
-    }
-
-    /// Replay the journal at `path` without opening it for append (missing
-    /// file ⇒ empty report). Does **not** touch the global counters.
-    #[must_use]
-    pub fn load(path: impl AsRef<Path>, header: &JournalHeader) -> LoadReport {
-        match fs::read(path.as_ref()) {
-            Err(_) => LoadReport::default(),
-            Ok(bytes) => replay_journal(&String::from_utf8_lossy(&bytes), header),
-        }
-    }
-
-    /// Append one completed cell and fsync before returning.
-    ///
-    /// # Errors
-    /// Propagates I/O errors.
-    pub fn append(&mut self, rec: &CellRecord) -> std::io::Result<()> {
-        self.append_unsynced(rec)?;
-        self.file.sync_data()
-    }
-
-    fn append_unsynced(&mut self, rec: &CellRecord) -> std::io::Result<()> {
-        self.file.write_all(seal(&rec.body()).as_bytes())
-    }
-
-    /// The journal's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-/// Index a load report's records by (experiment, platform), keeping the
-/// first record per key and dropping records whose platform fingerprint no
-/// longer matches the current code's.
-#[must_use]
-pub fn completed_cells(reports: &[LoadReport]) -> BTreeMap<(String, String), CellRecord> {
-    let mut m = BTreeMap::new();
-    for report in reports {
-        for rec in &report.records {
-            let stale = Platform::from_key(&rec.platform)
-                .is_none_or(|p| config_fingerprint(p) != rec.config_fnv);
-            if stale {
-                continue;
-            }
-            m.entry(rec.key()).or_insert_with(|| rec.clone());
-        }
-    }
-    m
-}
-
-// ----------------------------------------------------------- file locking
-
-/// An advisory lock file (`<journal>.lock`) so two concurrent campaigns
-/// can't interleave appends into one journal or race the artifact writes.
-///
-/// Acquisition creates the file exclusively and writes the holder's PID.
-/// A lock whose holder is no longer alive (checked via `/proc/<pid>`, with
-/// an age-based fallback where `/proc` doesn't exist) is broken as stale —
-/// a SIGKILLed campaign must not wedge every future `--resume`. Contending
-/// against a *live* holder waits (counted in [`resume_counters`]
-/// `lock_waits`) up to `timeout`, then errors.
-#[derive(Debug)]
-pub struct CampaignLock {
-    path: PathBuf,
-}
-
-impl CampaignLock {
-    /// Acquire the lock at `path`, waiting up to `timeout` for a live
-    /// holder to release it.
-    ///
-    /// # Errors
-    /// When a live holder still holds the lock after `timeout`.
-    pub fn acquire(path: impl AsRef<Path>, timeout: Duration) -> Result<Self, String> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                let _ = fs::create_dir_all(dir);
-            }
-        }
-        let deadline = Instant::now() + timeout;
-        let mut waited = false;
-        loop {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(path)
-            {
-                Ok(mut f) => {
-                    let _ = writeln!(f, "{}", std::process::id());
-                    let _ = f.sync_all();
-                    return Ok(CampaignLock {
-                        path: path.to_path_buf(),
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if Self::is_stale(path) {
-                        eprintln!("[breaking stale campaign lock {}]", path.display());
-                        let _ = fs::remove_file(path);
-                        continue;
-                    }
-                    if !waited {
-                        waited = true;
-                        LOCK_WAITS.fetch_add(1, Ordering::Relaxed);
-                        eprintln!(
-                            "[campaign lock {} held by a live campaign; waiting]",
-                            path.display()
-                        );
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(format!(
-                            "campaign lock {} still held after {:.0}s; \
-                             another campaign is running (or remove the lock by hand)",
-                            path.display(),
-                            timeout.as_secs_f64(),
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-                Err(e) => return Err(format!("cannot create lock {}: {e}", path.display())),
-            }
-        }
-    }
-
-    /// A lock is stale when its holder PID is provably dead, or — where
-    /// `/proc` is unavailable — when the lock file is over ten minutes old.
-    fn is_stale(path: &Path) -> bool {
-        let pid = fs::read_to_string(path)
-            .ok()
-            .and_then(|s| s.trim().parse::<u32>().ok());
-        match pid {
-            Some(pid) if Path::new("/proc").is_dir() => {
-                pid != std::process::id() && !Path::new(&format!("/proc/{pid}")).exists()
-            }
-            _ => fs::metadata(path)
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|t| t.elapsed().ok())
-                .is_some_and(|age| age > Duration::from_secs(600)),
-        }
-    }
-}
-
-impl Drop for CampaignLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
+/// # Errors
+/// Propagates I/O errors from [`write_atomic`].
+pub fn store_cell(dir: impl AsRef<Path>, rec: &CellRecord) -> std::io::Result<()> {
+    let path = cache_path(dir.as_ref(), &rec.experiment, &rec.platform, rec.key);
+    write_atomic(path, &format!("{}\n", rec.body()))
 }
 
 // ------------------------------------------------------------------ tests
@@ -890,6 +623,30 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_atomic_writes_of_one_path_never_collide() {
+        let dir = tmp_dir("concurrent");
+        let path = dir.join("cell.json");
+        let payload = |t: usize| format!("{{\"writer\": {t}}}\n");
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (path, body, start) = (&path, payload(t), &start);
+                s.spawn(move || {
+                    start.wait();
+                    (0..50).for_each(|_| write_atomic(path, &body).unwrap());
+                });
+            }
+        });
+        let (text, prov) = read_artifact(&path).unwrap();
+        assert_eq!(prov, Provenance::Checksummed);
+        assert!((0..8).any(|t| text == payload(t)), "{text:?}");
+        for entry in fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name();
+            assert!(!name.to_string_lossy().ends_with(".tmp"), "left {name:?}");
+        }
+    }
+
+    #[test]
     fn cell_record_roundtrips_bit_exactly() {
         let rec = record("l1d", 0.000_123);
         let body = rec.body();
@@ -906,125 +663,69 @@ mod tests {
     }
 
     #[test]
-    fn journal_create_append_resume() {
-        let dir = tmp_dir("journal");
-        let path = dir.join("campaign.journal");
-        let header = JournalHeader::current();
-
-        let mut j = Journal::create(&path, &header).unwrap();
-        j.append(&record("l1d", 0.0)).unwrap();
-        j.append(&record("tlb", 1.0)).unwrap();
-        drop(j);
-
-        let report = Journal::load(&path, &header);
-        assert_eq!(report.recovered, 2);
-        assert_eq!(report.truncated, 0);
-        assert_eq!(report.records[0].experiment, "l1d");
-        assert_eq!(report.records[1].experiment, "tlb");
-
-        // A header from different run parameters discards the journal.
-        let mut other = header.clone();
-        other.tp_samples += 1.0;
-        let stale = Journal::load(&path, &other);
-        assert_eq!(stale.recovered, 0);
-        assert_eq!(stale.truncated, 2);
-        assert!(stale.why.as_deref().unwrap_or("").contains("header"));
-    }
-
-    #[test]
-    fn torn_tail_truncates_and_resume_rewrites() {
-        let dir = tmp_dir("torn");
-        let path = dir.join("campaign.journal");
-        let header = JournalHeader::current();
-        let mut j = Journal::create(&path, &header).unwrap();
-        j.append(&record("l1d", 0.0)).unwrap();
-        j.append(&record("tlb", 1.0)).unwrap();
-        drop(j);
-
-        // Tear the last record mid-line, as a SIGKILL mid-append would.
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() - 17]).unwrap();
-
-        let (mut j, report) = Journal::open_resume(&path, &header).unwrap();
-        assert_eq!(report.recovered, 1);
-        assert_eq!(report.truncated, 1);
-        assert_eq!(report.first_damaged, Some(1));
-        assert_eq!(report.records[0].experiment, "l1d");
-
-        // The rewrite dropped the torn tail; appends after it are clean.
-        j.append(&record("btb", 2.0)).unwrap();
-        drop(j);
-        let report = Journal::load(&path, &header);
-        assert_eq!(report.recovered, 2);
-        assert_eq!(report.truncated, 0);
-        assert_eq!(report.records[1].experiment, "btb");
-    }
-
-    #[test]
-    fn rotted_record_truncates_everything_after_it() {
-        let dir = tmp_dir("rot");
-        let path = dir.join("campaign.journal");
-        let header = JournalHeader::current();
-        let mut j = Journal::create(&path, &header).unwrap();
-        for (i, exp) in ["l1d", "tlb", "btb"].iter().enumerate() {
-            j.append(&record(exp, i as f64)).unwrap();
+    fn cache_key_changes_with_every_component() {
+        let src = "0123456789abcdef";
+        let k = cell_key("l1d", "haswell", 0.25, 0x5EED, src);
+        assert_eq!(k, cell_key("l1d", "haswell", 0.25, 0x5EED, src));
+        for other in [
+            cell_key("l1i", "haswell", 0.25, 0x5EED, src),
+            cell_key("l1d", "sabre", 0.25, 0x5EED, src),
+            cell_key("l1d", "haswell", 0.5, 0x5EED, src),
+            cell_key("l1d", "haswell", 0.25, 0x5EEE, src),
+            cell_key("l1d", "haswell", 0.25, 0x5EED, "0123456789abcdee"),
+            // Fields are delimited: a character moved across a boundary.
+            cell_key("l1", "dhaswell", 0.25, 0x5EED, src),
+        ] {
+            assert_ne!(other, k);
         }
-        drop(j);
-
-        // Flip one byte inside the second cell record's body.
-        let mut bytes = fs::read(&path).unwrap();
-        let line_starts: Vec<usize> = std::iter::once(0)
-            .chain(
-                bytes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &b)| b == b'\n')
-                    .map(|(i, _)| i + 1),
-            )
-            .collect();
-        let target = line_starts[2] + 60;
-        bytes[target] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-
-        let report = Journal::load(&path, &header);
-        assert_eq!(report.recovered, 1, "only the record before the rot");
-        assert_eq!(report.truncated, 2, "the rotted record and its successors");
-        assert_eq!(report.first_damaged, Some(1));
     }
 
     #[test]
-    fn completed_cells_keeps_first_and_drops_stale_fingerprints() {
-        let a = record("l1d", 0.0);
-        let mut dup = record("l1d", 9.0);
-        dup.platform = a.platform.clone();
-        let mut stale = record("tlb", 1.0);
-        stale.config_fnv ^= 1;
-        let m = completed_cells(&[LoadReport {
-            records: vec![a.clone(), dup, stale],
-            recovered: 3,
-            ..Default::default()
-        }]);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[&a.key()], a, "first record for a key wins");
-    }
+    fn cache_serves_counts_and_rejects_damage() {
+        let dir = tmp_dir("cache");
+        let rec = record("tlb", 1.0);
+        let path = cache_path(&dir, "tlb", "haswell", rec.key);
+        let before = resume_counters();
+        assert_eq!(fetch_cell(&dir, "tlb", Platform::Haswell), None, "miss");
+        store_cell(&dir, &rec).unwrap();
+        assert_eq!(
+            fetch_cell(&dir, "tlb", Platform::Haswell),
+            Some(rec.clone())
+        );
+        assert_eq!(fetch_cell(&dir, "tlb", Platform::Sabre), None, "other cell");
+        let after = resume_counters();
+        assert_eq!(after.cells_skipped - before.cells_skipped, 1);
+        assert_eq!(after.cells_damaged, before.cells_damaged);
 
-    #[test]
-    fn lock_excludes_and_breaks_stale() {
-        let dir = tmp_dir("lock");
-        let path = dir.join("campaign.journal.lock");
+        let full = fs::read_to_string(&path).unwrap();
+        let expect_damage = |bytes: &str, why: &str| {
+            fs::write(&path, bytes).unwrap();
+            let err = lookup(&dir, "tlb", "haswell", rec.key).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        };
+        // Torn inside the trailer, as a crash inside a plain write would.
+        expect_damage(&full[..full.len() - 7], "checksum trailer");
+        // The trailer tag rotted: the file looks trailer-less, which is
+        // damage, never legacy content.
+        expect_damage(&full.replace("tp_store", "tp_stove"), "no checksum trailer");
+        // A verified record filed under the wrong key.
+        let mut wrong = rec.clone();
+        wrong.key ^= 1;
+        write_atomic(&path, &format!("{}\n", wrong.body())).unwrap();
+        fs::remove_file(bak_path(&path)).unwrap();
+        assert!(lookup(&dir, "tlb", "haswell", rec.key).is_err());
+        assert_eq!(fetch_cell(&dir, "tlb", Platform::Haswell), None);
+        assert_eq!(resume_counters().cells_damaged - after.cells_damaged, 1);
 
-        let lock = CampaignLock::acquire(&path, Duration::from_millis(50)).unwrap();
-        // Held by this (live) process: a second acquire waits, then errors.
-        let before = resume_counters().lock_waits;
-        let err = CampaignLock::acquire(&path, Duration::from_millis(50)).unwrap_err();
-        assert!(err.contains("still held"), "{err}");
-        assert!(resume_counters().lock_waits > before);
-        drop(lock);
-        assert!(!path.exists(), "drop releases the lock");
-
-        // A lock naming a dead PID is broken as stale.
-        fs::write(&path, "999999999\n").unwrap();
-        let lock = CampaignLock::acquire(&path, Duration::from_millis(50)).unwrap();
-        drop(lock);
+        // Rewritten twice, a primary torn inside its trailer is served from
+        // the verified .bak; torn before the trailer, it is damage.
+        store_cell(&dir, &rec).unwrap();
+        store_cell(&dir, &rec).unwrap();
+        fs::write(&path, &full[..full.len() - 7]).unwrap();
+        assert_eq!(
+            lookup(&dir, "tlb", "haswell", rec.key),
+            Ok(Some(rec.clone()))
+        );
+        expect_damage(&full[..full.len() / 2], "no checksum trailer");
     }
 }

@@ -24,6 +24,7 @@
 //! healthy campaign reports zeroes everywhere and CI gates on that.
 
 use crate::campaign::ChannelResult;
+use crate::store::{num_field, str_field};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -563,23 +564,6 @@ pub fn cell_deadline(history_seconds: Option<f64>) -> Duration {
         Some(s) if s > 0.0 => Duration::from_secs_f64((s * 20.0).clamp(30.0, 600.0)),
         _ => Duration::from_secs(120),
     }
-}
-
-fn str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-fn num_field(line: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"{name}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Parse the `cells` records of a previous `BENCH-campaign.json` into a

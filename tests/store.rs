@@ -1,18 +1,16 @@
-//! Durability properties of the campaign store (`tp_bench::store`):
-//! arbitrary journal damage never changes final campaign results, and a
-//! cell replayed from the journal re-serialises byte-identically.
+//! Durability properties of the campaign cell cache (`tp_bench::store`):
+//! arbitrary damage to a cell's cache file never serves a different
+//! record, and a cell served from the cache re-serialises byte-identically.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 use tp_bench::campaign::{golden_json, results_json, ChannelResult, ExperimentResult};
-use tp_bench::store::{
-    completed_cells, replay_journal, CellRecord, Journal, JournalHeader, LoadReport,
-};
+use tp_bench::store::{cache_path, lookup, store_cell, CellRecord};
 use tp_sim::Platform;
 
 /// Synthetic but awkward channel values: non-round floats whose printed
-/// form loses precision, so only the bit-exact journal fields can
+/// form loses precision, so only the bit-exact record fields can
 /// round-trip them.
 fn channel(i: u64, mech: &'static str) -> ChannelResult {
     ChannelResult {
@@ -37,83 +35,94 @@ fn record(i: u64) -> CellRecord {
     )
 }
 
-/// The ground-truth journal: 12 distinct cells, written through the real
-/// `Journal` (header + fsynced appends), read back as bytes. Built once.
-fn ground_truth() -> &'static (String, Vec<CellRecord>, JournalHeader) {
-    static TRUTH: OnceLock<(String, Vec<CellRecord>, JournalHeader)> = OnceLock::new();
+/// The ground truth: one cell written through the real cache
+/// (`store_cell`, i.e. `write_atomic`), read back as bytes. Built once.
+fn ground_truth() -> &'static (Vec<u8>, CellRecord) {
+    static TRUTH: OnceLock<(Vec<u8>, CellRecord)> = OnceLock::new();
     TRUTH.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("tp-store-prop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("campaign.journal");
-        let header = JournalHeader::current();
-        let records: Vec<CellRecord> = (0..12).map(record).collect();
-        let mut j = Journal::create(&path, &header).expect("create journal");
-        for r in &records {
-            j.append(r).expect("append");
-        }
-        drop(j);
-        let text = std::fs::read_to_string(&path).expect("read journal back");
+        let dir = scratch("truth");
+        let rec = record(7);
+        store_cell(&dir, &rec).expect("cache the cell");
+        let bytes = std::fs::read(cache_path(&dir, &rec.experiment, &rec.platform, rec.key))
+            .expect("read the cache file back");
         let _ = std::fs::remove_dir_all(&dir);
-        (text, records, header)
+        (bytes, rec)
     })
 }
 
-/// What a resumed campaign would end up with: journaled cells served from
-/// `completed`, every other scheduled cell recomputed from ground truth.
-fn final_results(report: &LoadReport, truth: &[CellRecord]) -> Vec<CellRecord> {
-    let completed = completed_cells(std::slice::from_ref(report));
-    truth
-        .iter()
-        .map(|want| completed.get(&want.key()).unwrap_or(want).clone())
-        .collect()
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tp-store-prop-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// Write `bytes` as the ground-truth cell's cache file in `dir` (no
+/// `.bak` beside it) and look the cell up. A hit must be the bit-exact
+/// record; anything else must be reported damage — which `fetch_cell`
+/// counts as `cells_damaged` and recomputes — never a silent miss.
+/// Returns whether the record was served.
+fn served_after_damage(dir: &std::path::Path, bytes: &[u8]) -> bool {
+    let (_, truth) = ground_truth();
+    let (exp, plat) = (&truth.experiment, &truth.platform);
+    std::fs::write(cache_path(dir, exp, plat, truth.key), bytes).expect("write damaged file");
+    match lookup(dir, exp, plat, truth.key) {
+        Ok(Some(got)) => {
+            assert_eq!(&got, truth, "a served record must be bit-exact");
+            assert_eq!(got.seconds.to_bits(), truth.seconds.to_bits());
+            true
+        }
+        Ok(None) => panic!("an existing damaged file must not be a silent miss"),
+        Err(_) => false,
+    }
 }
 
 proptest! {
-    /// Truncating the journal at an arbitrary byte offset loses at most a
-    /// suffix of cells — the replayed prefix is bit-exact, damaged records
-    /// are reported (never silently accepted), and a resume that recomputes
-    /// the lost cells reproduces the ground truth exactly.
+    /// Truncating the cache file at an arbitrary byte offset serves the
+    /// bit-exact record or reports damage; losing any of the payload or
+    /// of the trailer's checksum is always damage.
     #[test]
     fn truncation_never_changes_final_results(cut in 0usize..20_000) {
-        let (text, truth, header) = ground_truth();
-        let cut = cut.min(text.len());
-        let report = replay_journal(&text[..cut], header);
-        prop_assert!(report.records.len() <= truth.len());
-        for (got, want) in report.records.iter().zip(truth) {
-            prop_assert_eq!(got, want, "replayed record must be bit-exact");
-        }
-        if report.records.len() < truth.len() && cut > 0 {
-            // Anything lost is accounted for, with the damage located.
-            prop_assert!(report.truncated > 0 || cut <= text.find('\n').unwrap_or(0) + 1);
-        }
-        prop_assert_eq!(final_results(&report, truth), truth.clone());
+        let (bytes, _) = ground_truth();
+        let cut = cut % (bytes.len() + 1);
+        let served = served_after_damage(&scratch("cut"), &bytes[..cut]);
+        prop_assert!(!served || cut > bytes.len() - "\"}}\n".len(), "cut at {}", cut);
     }
 
-    /// Flipping any single byte anywhere in the journal — header, checksum,
-    /// record body, even a newline — never corrupts final results: the
-    /// damaged record and everything after it recompute, everything before
-    /// it is served bit-exact.
+    /// Flipping any single byte anywhere in the cache file — record body,
+    /// checksum, even inside the trailer tag — serves the bit-exact record
+    /// or reports damage; a flip in the payload is always damage.
     #[test]
     fn byte_flip_never_changes_final_results(offset in 0usize..20_000, x in 1u8..=255) {
-        let (text, truth, header) = ground_truth();
-        let mut bytes = text.clone().into_bytes();
-        let offset = offset % bytes.len();
-        bytes[offset] ^= x;
-        let damaged = String::from_utf8_lossy(&bytes).into_owned();
-        let report = replay_journal(&damaged, header);
-        for (got, want) in report.records.iter().zip(truth) {
-            prop_assert_eq!(got, want, "replayed record must be bit-exact");
-        }
-        prop_assert!(
-            report.records.len() >= truth.len() || report.first_damaged.is_some(),
-            "a lost record must be reported with its index, never dropped silently"
-        );
-        prop_assert_eq!(final_results(&report, truth), truth.clone());
+        let (bytes, truth) = ground_truth();
+        let mut damaged = bytes.clone();
+        let offset = offset % damaged.len();
+        damaged[offset] ^= x;
+        let served = served_after_damage(&scratch("flip"), &damaged);
+        prop_assert!(!served || offset > truth.body().len(), "flip at {}", offset);
     }
 }
 
-/// A cell replayed from the journal serialises byte-identically to the
-/// original run: the `*_bits` journal fields round-trip the exact `f64`s,
+/// Shards write disjoint files; serving their union (what `--merge N`
+/// does) covers the whole matrix with the exact records they computed.
+#[test]
+fn shard_cache_files_merge_to_full_coverage() {
+    let dir = scratch("shards");
+    let truth: Vec<CellRecord> = (0..12).map(record).collect();
+    for shard in 0..3 {
+        for rec in truth.iter().skip(shard).step_by(3) {
+            store_cell(&dir, rec).expect("shard caches its cell");
+        }
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), truth.len());
+    for rec in &truth {
+        let got = lookup(&dir, &rec.experiment, &rec.platform, rec.key);
+        assert_eq!(got, Ok(Some(rec.clone())));
+    }
+}
+
+/// A cell served from the cache serialises byte-identically to the
+/// original run: the `*_bits` record fields round-trip the exact `f64`s,
 /// so `--resume` reproduces `results.json` and the golden file without a
 /// byte of churn.
 #[test]
@@ -130,60 +139,25 @@ fn replayed_cells_reserialize_byte_identically() {
             }
         })
         .collect();
+    let dir = scratch("reserialize");
     let replayed: Vec<ExperimentResult> = originals
         .iter()
         .map(|r| {
             let rec = CellRecord::new(r.experiment, r.platform, r.seconds, &r.channels);
-            let parsed = CellRecord::parse(&rec.body()).expect("journal roundtrip");
-            ExperimentResult::from_record(r.experiment, r.platform, &parsed)
+            store_cell(&dir, &rec).expect("cache the cell");
+            let served = lookup(&dir, &rec.experiment, &rec.platform, rec.key);
+            let served = served.expect("verifies").expect("served from the cache");
+            ExperimentResult::from_record(r.experiment, r.platform, &served)
         })
         .collect();
     assert_eq!(
         results_json(&originals, 1.5),
         results_json(&replayed, 1.5),
-        "results.json must not change across a journal roundtrip"
+        "results.json must not change across a cache roundtrip"
     );
     assert_eq!(
         golden_json(&originals),
         golden_json(&replayed),
-        "the golden file must not change across a journal roundtrip"
-    );
-}
-
-/// Shard journals partition the cell matrix: disjoint shards merge into
-/// exactly the full set, and an overlapping cell takes the first shard's
-/// record rather than duplicating.
-#[test]
-fn shard_journals_merge_to_full_coverage() {
-    let truth: Vec<CellRecord> = (0..12).map(record).collect();
-    let shard = |i: usize, n: usize| LoadReport {
-        records: truth
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| idx % n == i)
-            .map(|(_, r)| r.clone())
-            .collect(),
-        ..Default::default()
-    };
-    let shards: Vec<LoadReport> = (0..3).map(|i| shard(i, 3)).collect();
-    let merged = completed_cells(&shards);
-    assert_eq!(merged.len(), truth.len(), "shards must cover every cell");
-    let by_key: BTreeMap<_, _> = truth.iter().map(|r| (r.key(), r.clone())).collect();
-    assert_eq!(merged, by_key);
-
-    // Overlap: shard 0 re-listing a cell of shard 1 must not override it.
-    let mut dup = truth[1].clone();
-    dup.seconds += 100.0;
-    let overlapping = vec![
-        shards[1].clone(),
-        LoadReport {
-            records: vec![dup],
-            ..Default::default()
-        },
-    ];
-    assert_eq!(
-        completed_cells(&overlapping)[&truth[1].key()],
-        truth[1],
-        "first shard's record wins for an overlapping cell"
+        "the golden file must not change across a cache roundtrip"
     );
 }
