@@ -54,7 +54,6 @@ fn expected_outcome(kind: FaultKind) -> CellOutcome {
         FaultKind::EnvPanic { .. } | FaultKind::NoisePoison { .. } => CellOutcome::Panicked,
         FaultKind::EnvStall { .. } => CellOutcome::TimedOut,
         FaultKind::CommitFlip { .. } => CellOutcome::ReplayDiverged,
-        FaultKind::SnapshotCorrupt => CellOutcome::SnapshotCorrupt,
         // The deadlock detector must classify the wedged token, never the
         // wall-clock watchdog.
         FaultKind::LostWakeup { .. } => CellOutcome::Deadlock,
@@ -351,23 +350,22 @@ fn splitmix(state: &mut u64) -> u64 {
 /// Draw one fuzzed fault class with a fuzzed trigger ordinal in 1..=40.
 fn fuzz_kind(state: &mut u64) -> FaultKind {
     let at = 1 + splitmix(state) % 40;
-    match splitmix(state) % 7 {
+    match splitmix(state) % 6 {
         0 => FaultKind::EnvPanic { at },
         1 => FaultKind::EnvStall { at },
         2 => FaultKind::CommitFlip { index: at as usize },
-        3 => FaultKind::SnapshotCorrupt,
-        4 => FaultKind::NoisePoison { after: at * 8 },
-        5 => FaultKind::LostWakeup { at },
+        3 => FaultKind::NoisePoison { after: at * 8 },
+        4 => FaultKind::LostWakeup { at },
         _ => FaultKind::StackOverflow,
     }
 }
 
 /// The classifications a fuzzed plan is allowed to produce on a real
 /// campaign cell. `Ok` is allowed wherever the fuzzed trigger may simply
-/// never fire (single-core cells never rotate the token; a cold boot has
-/// no snapshot to corrupt; environments that never syscall or
-/// `wait_preempt` — e.g. the bus channel's pure load/compute loops —
-/// never tick the interaction ordinal that arms env-level faults) — but
+/// never fire (single-core cells never rotate the token; environments
+/// that never syscall or `wait_preempt` — e.g. the bus channel's pure
+/// load/compute loops — never tick the interaction ordinal that arms
+/// env-level faults) — but
 /// an `Ok` faulted cell must then be byte-identical to the healthy
 /// reference, which the sweep enforces.
 fn allowed_outcomes(kind: FaultKind) -> Vec<CellOutcome> {
@@ -376,7 +374,6 @@ fn allowed_outcomes(kind: FaultKind) -> Vec<CellOutcome> {
         FaultKind::EnvPanic { .. } => vec![O::Panicked, O::EnvFailed, O::Ok],
         FaultKind::EnvStall { .. } => vec![O::TimedOut, O::Ok],
         FaultKind::CommitFlip { .. } => vec![O::ReplayDiverged],
-        FaultKind::SnapshotCorrupt => vec![O::SnapshotCorrupt, O::Ok],
         FaultKind::NoisePoison { .. } => vec![O::Panicked, O::EnvFailed, O::Ok],
         // The detector needs every environment suspended. A cell with a
         // spinning daemon (e.g. the bus sender's compute loop) turns a
@@ -699,14 +696,6 @@ fn main() -> ExitCode {
     for (i, plan) in plans.iter().enumerate() {
         let expected = expected_outcome(plan.kind);
         let seed = 0xC4A0_5000 + i as u64;
-        if plan.kind == FaultKind::SnapshotCorrupt {
-            // Prime the boot cache so the supervised run below restores a
-            // (corrupted) snapshot instead of booting cold.
-            if let Err(e) = probe_cell(seed) {
-                eprintln!("chaos: cache-priming run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
         let name = plan.kind.class_name();
         let report = run_cell(
             "chaos",

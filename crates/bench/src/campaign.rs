@@ -490,38 +490,36 @@ pub fn bench_json(results: &[ExperimentResult], total_seconds: f64) -> String {
     let _ = writeln!(s, "  \"tp_samples\": {},", crate::util::effort());
     let _ = writeln!(s, "  \"threads\": {},", crate::util::threads());
     let _ = writeln!(s, "  \"total_seconds\": {total_seconds:.3},");
-    // Boot accounting: CI asserts that warm starts (shared boot-prefix
-    // checkpoints) actually cut per-cell boot time vs. cold boots.
-    let boot = tp_core::system::boot_stats();
-    let mean_ms = |nanos: u64, n: u64| {
-        if n == 0 {
-            0.0
-        } else {
-            nanos as f64 / n as f64 / 1e6
+    // Peak resident set of the whole run (VmHWM, `null` off Linux); CI
+    // gives it a memory budget.
+    match peak_rss_mb() {
+        Some(mb) => {
+            let _ = writeln!(s, "  \"peak_rss_mb\": {mb:.1},");
         }
+        None => s.push_str("  \"peak_rss_mb\": null,\n"),
+    }
+    let boot = tp_core::system::boot_stats();
+    let cold_mean_ms = if boot.cold_boots == 0 {
+        0.0
+    } else {
+        boot.cold_nanos as f64 / boot.cold_boots as f64 / 1e6
     };
     let _ = writeln!(
         s,
-        "  \"boot\": {{\"cold\": {}, \"warm\": {}, \"fallback\": {}, \"cold_mean_ms\": {:.6}, \"warm_mean_ms\": {:.6}}},",
+        "  \"boot\": {{\"cold\": {}, \"cold_mean_ms\": {cold_mean_ms:.6}}},",
         boot.cold_boots,
-        boot.warm_boots,
-        boot.fallback_boots,
-        mean_ms(boot.cold_nanos, boot.cold_boots),
-        mean_ms(boot.warm_nanos, boot.warm_boots),
     );
     // Supervisor accounting: a healthy (fault-free) campaign reports all
     // zeroes here, and CI gates on exactly that.
     let sup = crate::supervise::counters();
     let _ = writeln!(
         s,
-        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"snapshot_corrupt\": {}, \"replay_diverged\": {}, \"quarantined\": {}, \"fallback_boots\": {}, \"env_failed\": {}, \"deadlocks\": {}, \"stack_overflows\": {}}},",
+        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"replay_diverged\": {}, \"quarantined\": {}, \"env_failed\": {}, \"deadlocks\": {}, \"stack_overflows\": {}}},",
         sup.retries,
         sup.timeouts,
         sup.panics,
-        sup.snapshot_corrupt,
         sup.replay_diverged,
         sup.quarantined,
-        boot.fallback_boots,
         sup.env_failed,
         sup.deadlocks,
         sup.stack_overflows,
@@ -547,6 +545,21 @@ pub fn bench_json(results: &[ExperimentResult], total_seconds: f64) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+/// Peak resident set size of this process in MB (`VmHWM` from
+/// `/proc/self/status`); `None` off Linux.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
 }
 
 /// The canonical identity of one verdict: experiment, platform key,

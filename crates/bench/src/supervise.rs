@@ -13,8 +13,7 @@
 //!            ┌────────────── retry (≤2, seed-bumped) ──────────────┐
 //!            ▼                                                     │
 //!   spawn → run ─ Ok ──────────→ selfchecks ──→ Ok                 │
-//!            │                     │   │                           │
-//!            │                     │   └ fallback seen → SnapshotCorrupt
+//!            │                     │                               │
 //!            │                     └ replay diverges   → ReplayDiverged
 //!            ├─ SimError(watchdog) / recv timeout → TimedOut ──────┤
 //!            └─ panic / SimError(program)         → Panicked ──────┘
@@ -62,7 +61,6 @@ pub fn retry_salt() -> u64 {
 static RETRIES: AtomicU64 = AtomicU64::new(0);
 static TIMEOUTS: AtomicU64 = AtomicU64::new(0);
 static PANICS: AtomicU64 = AtomicU64::new(0);
-static SNAPSHOT_CORRUPT: AtomicU64 = AtomicU64::new(0);
 static REPLAY_DIVERGED: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static ENV_FAILED: AtomicU64 = AtomicU64::new(0);
@@ -79,8 +77,6 @@ pub struct SupervisorCounters {
     pub timeouts: u64,
     /// Attempts that panicked (host panic or simulated-program failure).
     pub panics: u64,
-    /// Cells that completed only after a cold-boot fallback.
-    pub snapshot_corrupt: u64,
     /// Cells whose commit log failed the replay selfcheck.
     pub replay_diverged: u64,
     /// Cells written to the quarantine ledger.
@@ -101,7 +97,6 @@ pub fn counters() -> SupervisorCounters {
         retries: RETRIES.load(Ordering::Relaxed),
         timeouts: TIMEOUTS.load(Ordering::Relaxed),
         panics: PANICS.load(Ordering::Relaxed),
-        snapshot_corrupt: SNAPSHOT_CORRUPT.load(Ordering::Relaxed),
         replay_diverged: REPLAY_DIVERGED.load(Ordering::Relaxed),
         quarantined: QUARANTINED.load(Ordering::Relaxed),
         env_failed: ENV_FAILED.load(Ordering::Relaxed),
@@ -124,9 +119,6 @@ pub enum CellOutcome {
     Panicked,
     /// Every attempt was stopped by the watchdog (or abandoned outright).
     TimedOut,
-    /// A warm-boot snapshot failed its `state_hash()` check; the cell
-    /// completed on the cold-boot fallback but is flagged for review.
-    SnapshotCorrupt,
     /// The commit-log replay selfcheck found a diverging commit.
     ReplayDiverged,
     /// The cell completed, but one or more non-primary environments failed
@@ -147,7 +139,6 @@ impl CellOutcome {
             CellOutcome::Ok => "ok",
             CellOutcome::Panicked => "panicked",
             CellOutcome::TimedOut => "timed-out",
-            CellOutcome::SnapshotCorrupt => "snapshot-corrupt",
             CellOutcome::ReplayDiverged => "replay-diverged",
             CellOutcome::EnvFailed => "env-failed",
             CellOutcome::Deadlock => "deadlock",
@@ -174,9 +165,8 @@ pub struct CellReport {
 }
 
 enum Attempt {
-    /// Completed: channels, whether a cold-boot fallback was seen, and how
-    /// many environments failed in isolation.
-    Done(Vec<ChannelResult>, bool, u64),
+    /// Completed: channels and how many environments failed in isolation.
+    Done(Vec<ChannelResult>, u64),
     Panicked(String),
     TimedOut(String),
     Deadlocked(String),
@@ -199,7 +189,6 @@ fn run_attempt(
     salt: u64,
     f: Arc<dyn Fn() -> Result<Vec<ChannelResult>, SimError> + Send + Sync>,
 ) -> Attempt {
-    let fallback_before = tp_core::boot_stats().fallback_boots;
     let env_failed_before = tp_core::health_stats().env_failed;
     let (tx, rx) = mpsc::channel();
     let cutoff = Instant::now() + deadline;
@@ -242,8 +231,6 @@ fn run_attempt(
             SimErrorKind::StackOverflow => Attempt::StackOverflow(e.to_string()),
         },
         Ok(Ok(Ok(channels))) => {
-            let fell_back = matches!(armed, Some(FaultKind::SnapshotCorrupt))
-                && tp_core::boot_stats().fallback_boots > fallback_before;
             // The env-failure delta is only trusted when the armed fault is
             // one that can kill an environment — the counter is process-wide
             // and concurrent healthy cells must not inherit a stray delta.
@@ -262,7 +249,7 @@ fn run_attempt(
             } else {
                 0
             };
-            Attempt::Done(channels, fell_back, env_failed)
+            Attempt::Done(channels, env_failed)
         }
     }
 }
@@ -290,21 +277,7 @@ pub fn run_cell(
         }
         let salt = u64::from(attempt).wrapping_mul(RETRY_SALT_STRIDE);
         match run_attempt(armed, deadline, salt, Arc::clone(&f)) {
-            Attempt::Done(channels, fell_back, env_failed) => {
-                if fell_back {
-                    SNAPSHOT_CORRUPT.fetch_add(1, Ordering::Relaxed);
-                    return CellReport {
-                        outcome: CellOutcome::SnapshotCorrupt,
-                        channels: Some(channels),
-                        attempts: attempt + 1,
-                        env_failed: 0,
-                        error: Some(
-                            "a warm-boot snapshot failed its state-hash check; \
-                             the cell completed on the cold-boot fallback"
-                                .to_string(),
-                        ),
-                    };
-                }
+            Attempt::Done(channels, env_failed) => {
                 if let Some(FaultKind::CommitFlip { index }) = armed {
                     if let Some(d) = commit_flip_selfcheck(index) {
                         REPLAY_DIVERGED.fetch_add(1, Ordering::Relaxed);
@@ -430,7 +403,6 @@ pub fn probe_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
     use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
     let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
         .seed(seed)
-        .warm_boot(true)
         .max_cycles(200_000_000);
     let d = b.domain(None);
     b.spawn(d, 0, 100, |env: &mut UserEnv| {
@@ -700,29 +672,6 @@ mod tests {
             r.error.as_deref().unwrap_or("").contains("noise-poison"),
             "{:?}",
             r.error
-        );
-    }
-
-    #[test]
-    fn snapshot_corrupt_falls_back_cold_and_is_flagged() {
-        // Populate the boot cache with this shape first (cold boot), so
-        // the supervised run below takes the warm-restore path and meets
-        // the corrupted clone.
-        let seed = 0xA11C_E004;
-        tiny_cell(seed).expect("cache-priming run");
-        let p = plan(FaultKind::SnapshotCorrupt);
-        let r = run_cell(
-            "tiny",
-            "haswell",
-            Some(&p),
-            Duration::from_secs(60),
-            move || tiny_cell(seed),
-        );
-        assert_eq!(r.outcome, CellOutcome::SnapshotCorrupt, "{:?}", r.error);
-        assert_eq!(r.attempts, 1, "graceful degradation, not a retry");
-        assert!(
-            r.channels.is_some(),
-            "the cell completes on the cold-boot fallback"
         );
     }
 

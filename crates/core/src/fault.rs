@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! TP_FAULT=env-panic@120
-//! TP_FAULT=snapshot-corrupt:cell=flush/haswell
+//! TP_FAULT=env-panic@2:cell=flush/haswell
 //! ```
 
 use std::fmt;
@@ -44,9 +44,6 @@ pub enum FaultKind {
         /// 0-based commit index to corrupt.
         index: usize,
     },
-    /// The warm-boot restore path hands out a corrupted snapshot clone,
-    /// exercising the `state_hash()` verification + cold-boot fallback.
-    SnapshotCorrupt,
     /// The machine's noise stream panics after `after` further draws.
     NoisePoison {
         /// Number of draws that still succeed before the stream faults.
@@ -76,22 +73,20 @@ impl FaultKind {
             FaultKind::EnvPanic { .. } => "env-panic",
             FaultKind::EnvStall { .. } => "env-stall",
             FaultKind::CommitFlip { .. } => "commit-flip",
-            FaultKind::SnapshotCorrupt => "snapshot-corrupt",
             FaultKind::NoisePoison { .. } => "noise-poison",
             FaultKind::LostWakeup { .. } => "lost-wakeup",
             FaultKind::StackOverflow => "stack-overflow",
         }
     }
 
-    /// All seven classes at their default trigger points, in a fixed order —
+    /// All six classes at their default trigger points, in a fixed order —
     /// what the chaos binary iterates when `TP_FAULT` is unset.
     #[must_use]
-    pub fn all_defaults() -> [FaultKind; 7] {
+    pub fn all_defaults() -> [FaultKind; 6] {
         [
             FaultKind::EnvPanic { at: 3 },
             FaultKind::EnvStall { at: 3 },
             FaultKind::CommitFlip { index: 17 },
-            FaultKind::SnapshotCorrupt,
             FaultKind::NoisePoison { after: 64 },
             FaultKind::LostWakeup { at: 2 },
             FaultKind::StackOverflow,
@@ -105,7 +100,6 @@ impl fmt::Display for FaultKind {
             FaultKind::EnvPanic { at } => write!(f, "env-panic@{at}"),
             FaultKind::EnvStall { at } => write!(f, "env-stall@{at}"),
             FaultKind::CommitFlip { index } => write!(f, "commit-flip@{index}"),
-            FaultKind::SnapshotCorrupt => write!(f, "snapshot-corrupt"),
             FaultKind::NoisePoison { after } => write!(f, "noise-poison@{after}"),
             FaultKind::LostWakeup { at } => write!(f, "lost-wakeup@{at}"),
             FaultKind::StackOverflow => write!(f, "stack-overflow"),
@@ -135,14 +129,13 @@ impl FaultPlan {
     /// ```text
     /// plan  := class [ "@" N ] [ ":cell=" experiment "/" platform ]
     /// class := "env-panic" | "env-stall" | "commit-flip"
-    ///        | "snapshot-corrupt" | "noise-poison"
-    ///        | "lost-wakeup" | "stack-overflow"
+    ///        | "noise-poison" | "lost-wakeup" | "stack-overflow"
     /// ```
     ///
     /// `@N` sets the trigger point (interaction ordinal, commit index,
     /// draw count or rotation ordinal depending on class)
-    /// and defaults per class; `snapshot-corrupt` and `stack-overflow`
-    /// have no trigger point and reject one.
+    /// and defaults per class; `stack-overflow` has no trigger point and
+    /// rejects one.
     ///
     /// # Errors
     /// Returns a human-readable message for an unknown class, a malformed
@@ -180,12 +173,6 @@ impl FaultPlan {
             "commit-flip" => FaultKind::CommitFlip {
                 index: at.unwrap_or(17) as usize,
             },
-            "snapshot-corrupt" => {
-                if at.is_some() {
-                    return Err("snapshot-corrupt takes no trigger point".into());
-                }
-                FaultKind::SnapshotCorrupt
-            }
             "noise-poison" => FaultKind::NoisePoison {
                 after: at.unwrap_or(64),
             },
@@ -201,8 +188,7 @@ impl FaultPlan {
             other => {
                 return Err(format!(
                     "unknown fault class `{other}` (expected env-panic, env-stall, \
-                     commit-flip, snapshot-corrupt, noise-poison, lost-wakeup \
-                     or stack-overflow)"
+                     commit-flip, noise-poison, lost-wakeup or stack-overflow)"
                 ))
             }
         };
@@ -295,10 +281,6 @@ mod tests {
             FaultKind::CommitFlip { index: 9 }
         );
         assert_eq!(
-            FaultPlan::parse("snapshot-corrupt").unwrap().kind,
-            FaultKind::SnapshotCorrupt
-        );
-        assert_eq!(
             FaultPlan::parse("noise-poison@1000").unwrap().kind,
             FaultKind::NoisePoison { after: 1000 }
         );
@@ -331,7 +313,6 @@ mod tests {
     fn rejects_malformed_specs() {
         assert!(FaultPlan::parse("frob").is_err());
         assert!(FaultPlan::parse("env-panic@lots").is_err());
-        assert!(FaultPlan::parse("snapshot-corrupt@3").is_err());
         assert!(FaultPlan::parse("stack-overflow@3").is_err());
         assert!(FaultPlan::parse("env-panic:cell=flush").is_err());
         assert!(FaultPlan::parse("env-panic:cell=/haswell").is_err());
@@ -343,7 +324,6 @@ mod tests {
             "env-panic@3",
             "env-stall@7",
             "commit-flip@17",
-            "snapshot-corrupt",
             "noise-poison@64",
             "lost-wakeup@2",
             "stack-overflow",
@@ -357,8 +337,8 @@ mod tests {
 
     #[test]
     fn thread_local_arming_is_per_thread() {
-        arm(Some(FaultKind::SnapshotCorrupt));
-        assert_eq!(armed(), Some(FaultKind::SnapshotCorrupt));
+        arm(Some(FaultKind::StackOverflow));
+        assert_eq!(armed(), Some(FaultKind::StackOverflow));
         let other = std::thread::spawn(armed).join().unwrap();
         assert_eq!(other, None, "arming must not leak across threads");
         arm(None);

@@ -326,7 +326,7 @@ pub struct KernelStats {
 ///
 /// `Clone` is part of the snapshot/restore contract: a cloned kernel
 /// resumed against a cloned [`Machine`] produces a bit-identical future
-/// (used by warm-boot checkpoints and [`crate::replay::Snapshot`]).
+/// (used by [`crate::replay::Snapshot`]).
 #[derive(Debug, Clone)]
 pub struct Kernel {
     /// Platform configuration (copied from the machine).
@@ -715,12 +715,11 @@ impl Kernel {
         let line = self.cfg.line;
         let global = self.prot.kernel_global_mappings;
         let img = self.images.get(image.0).expect("live image");
-        let text = img.layout.text.clone();
-        let stack = img.layout.stack.clone();
+        let (text, stack) = (&img.layout.text, &img.layout.stack);
         m.advance(core, self.cfg.lat.mode_switch);
         for i in 0..f.text {
             let li = f.off + i;
-            let pa = ImageFrames::line_pa(&text, li, line);
+            let pa = ImageFrames::line_pa(text, li, line);
             let va = VAddr(KERNEL_VBASE + li * line);
             m.insn_fetch(core, asid, va, pa, global);
         }
@@ -733,7 +732,7 @@ impl Kernel {
             m.data_access(core, asid, va, pa, j == 0, global);
         }
         for j in 0..f.stack {
-            let pa = ImageFrames::line_pa(&stack, j, line);
+            let pa = ImageFrames::line_pa(stack, j, line);
             let va = VAddr(KERNEL_VBASE + 0x50_0000 + j * line);
             m.data_access(core, asid, va, pa, true, global);
         }

@@ -21,7 +21,6 @@
 use crate::commit::Commit;
 use crate::config::FlushMode;
 use crate::kernel::{EngineMode, FootKind, Kernel};
-use crate::layout::KERNEL_VBASE;
 use crate::objects::{DomainId, ImageId, ThreadState};
 use tp_sim::flush as hwflush;
 use tp_sim::{Asid, Machine, PAddr, VAddr};
@@ -324,19 +323,15 @@ impl Kernel {
     }
 
     fn prefetch_shared_inner(&mut self, m: &mut Machine, core: usize) {
-        let line = self.cfg.line;
-        for i in 0..self.shared.lines() {
-            let pa = self.shared.line_pa(i);
-            let va = VAddr(KERNEL_VBASE + 0x40_0000 + i * line);
-            m.data_access(
-                core,
-                Asid::KERNEL,
-                va,
-                pa,
-                false,
-                self.prot.kernel_global_mappings,
-            );
-        }
+        // The shared region is contiguous from its first line, so the walk
+        // is a fixed buffer sweep.
+        m.load_buffer(
+            core,
+            Asid::KERNEL,
+            self.shared.line_pa(0),
+            self.shared.lines(),
+            self.prot.kernel_global_mappings,
+        );
     }
 
     /// Measure the cost of switching away from the current state of `core`

@@ -290,8 +290,12 @@ impl Cache {
     }
 
     /// Invalidate the line `(set, tag)` if present; returns whether it was
-    /// present and whether it was dirty.
+    /// present and whether it was dirty. An empty cache (the private caches
+    /// of idle cores under back-invalidation) answers without a scan.
     pub fn invalidate_line(&mut self, set: usize, tag: u64) -> (bool, bool) {
+        if self.valid_count == 0 {
+            return (false, false);
+        }
         let base = set * self.ways;
         let want = (tag << EPOCH_BITS) | self.epoch;
         for i in 0..self.ways {
@@ -503,6 +507,30 @@ mod tests {
         assert!(c.peek(0, 2));
         let (present, _) = c.invalidate_line(0, 1);
         assert!(!present);
+    }
+
+    #[test]
+    fn invalidate_line_on_an_empty_cache_is_a_no_op() {
+        let mut c = small();
+        let before = c.stats();
+        assert_eq!(c.invalidate_line(0, 1), (false, false));
+        assert_eq!(c.stats(), before, "an empty cache must not count anything");
+        // Flushed back to empty after holding lines: still a no-op.
+        let mut r = rng();
+        c.access(0, 1, 4, true, &mut r);
+        c.flush_all();
+        let before = c.stats();
+        assert_eq!(c.invalidate_line(0, 1), (false, false));
+        assert_eq!(c.stats(), before);
+        // A cache that holds the line invalidates it as before.
+        c.access(0, 1, 4, true, &mut r);
+        let before = c.stats();
+        assert_eq!(c.invalidate_line(0, 1), (true, true));
+        assert!(!c.peek(0, 1));
+        assert_eq!(c.valid_lines(), 0);
+        let after = c.stats();
+        assert_eq!(after.flushed_lines, before.flushed_lines + 1);
+        assert_eq!(after.writebacks, before.writebacks + 1);
     }
 
     #[test]

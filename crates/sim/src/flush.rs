@@ -87,48 +87,29 @@ pub fn flush_branch_predictor(m: &mut Machine, core: usize) -> FlushWork {
 }
 
 /// x86 "manual" L1-D flush: load one word per line of an L1-D-sized kernel
-/// buffer at physical `buf_pa`. Under a pseudo-LRU policy this can leave
-/// stale lines resident (footnote 6) — the returned `lines` counts how many
-/// *previous* lines actually left the cache.
-pub fn manual_flush_l1d(m: &mut Machine, core: usize, buf_pa: PAddr) -> FlushWork {
-    let before = m.cores[core].l1d.valid_lines();
-    let geom = m.cfg.l1d;
-    let start = m.cycles(core);
+/// buffer at physical `buf_pa`; returns the cycles charged. Under a
+/// pseudo-LRU policy this can leave stale lines resident (footnote 6) —
+/// [`foreign_lines`] counts them.
+pub fn manual_flush_l1d(m: &mut Machine, core: usize, buf_pa: PAddr) -> u64 {
     // Kernel data accesses: global mapping, kernel ASID. The walk runs on
     // every domain switch over a fixed buffer — use the memoised plan.
-    let idx = m.flush_plan(buf_pa, false, geom.lines());
-    let plan = m.take_flush_plan(idx);
-    m.access_batch(
-        core,
-        Asid::KERNEL,
-        &plan,
-        false,
-        true,
-        &mut crate::machine::BatchOut::default(),
-    );
-    m.restore_flush_plan(idx, plan);
-    let cycles = m.cycles(core) - start;
-    // Count how many pre-existing lines survived (non-buffer tags).
-    let survivors = count_foreign_lines(m, core, buf_pa, false);
-    FlushWork {
-        lines: before.saturating_sub(survivors),
-        writebacks: 0,
-        cycles,
-    }
+    let lines = m.cfg.l1d.lines();
+    let start = m.cycles(core);
+    m.load_buffer(core, Asid::KERNEL, buf_pa, lines, true);
+    m.cycles(core) - start
 }
 
 /// x86 "manual" L1-I flush: follow a chain of jumps through an L1-I-sized
 /// buffer; every jump is mispredicted (this is why the measured direct cost
 /// in Table 2 is a surprisingly high 26 µs). Also pollutes part of the BTB,
-/// "indirectly flushing" it.
-pub fn manual_flush_l1i(m: &mut Machine, core: usize, buf_pa: PAddr) -> FlushWork {
-    let before = m.cores[core].l1i.valid_lines();
+/// "indirectly flushing" it. Returns the cycles charged.
+pub fn manual_flush_l1i(m: &mut Machine, core: usize, buf_pa: PAddr) -> u64 {
     let geom = m.cfg.l1i;
     let line = m.cfg.line;
     let jump_cost = m.cfg.lat.manual_jump;
     let start = m.cycles(core);
-    let idx = m.flush_plan(buf_pa, true, geom.lines());
-    let plan = m.take_flush_plan(idx);
+    let idx = m.buffer_plan(buf_pa, true, geom.lines());
+    let plan = m.take_buffer_plan(idx);
     for ln in plan.lines() {
         m.access_planned(core, Asid::KERNEL, ln, false, true, true);
         // The chained jump: mispredicted, BTB entry installed.
@@ -141,23 +122,23 @@ pub fn manual_flush_l1i(m: &mut Machine, core: usize, buf_pa: PAddr) -> FlushWor
         );
         m.advance(core, jump_cost);
     }
-    m.restore_flush_plan(idx, plan);
-    let cycles = m.cycles(core) - start;
-    let survivors = count_foreign_lines(m, core, buf_pa, true);
-    FlushWork {
-        lines: before.saturating_sub(survivors),
-        writebacks: 0,
-        cycles,
-    }
+    m.restore_buffer_plan(idx, plan);
+    m.cycles(core) - start
 }
 
-fn count_foreign_lines(m: &Machine, core: usize, buf_pa: PAddr, insn: bool) -> u64 {
+/// Census after a manual flush: the valid lines of `core`'s L1-D (or, with
+/// `insn`, L1-I) that are not lines of the cache-sized flush buffer at
+/// `buf_pa` — the stale lines the flush failed to evict. Costs one probe
+/// per buffer line and charges nothing, so only callers that read the
+/// count should run it.
+#[must_use]
+pub fn foreign_lines(m: &Machine, core: usize, buf_pa: PAddr, insn: bool) -> u64 {
     let c = &m.cores[core];
     let cache = if insn { &c.l1i } else { &c.l1d };
     let geom = cache.geom();
     let line = geom.line;
-    // Foreign lines = valid lines that are not buffer lines. The buffer is
-    // cache-sized and line-aligned, so its line addresses are distinct.
+    // The buffer is cache-sized and line-aligned, so its line addresses
+    // are distinct.
     let mut buffer_resident = 0;
     for i in 0..geom.lines() {
         let pa = buf_pa.0 + i * line;
@@ -266,17 +247,19 @@ mod tests {
     fn manual_l1d_flush_mostly_empties() {
         let mut m = Machine::new(Platform::Haswell.config(), 1);
         dirty_l1(&mut m, 0, 400);
-        let w = manual_flush_l1d(&mut m, 0, PAddr(0x10_0000));
+        let before = m.cores[0].l1d.valid_lines();
+        manual_flush_l1d(&mut m, 0, PAddr(0x10_0000));
+        let flushed = before - foreign_lines(&m, 0, PAddr(0x10_0000), false);
         // Pseudo-LRU noise may leave a few stale lines, but the bulk must go.
-        assert!(w.lines > 350, "flushed only {} lines", w.lines);
+        assert!(flushed > 350, "flushed only {flushed} lines");
     }
 
     #[test]
     fn manual_l1i_flush_cost_matches_table2_scale() {
         let cfg = Platform::Haswell.config();
         let mut m = Machine::new(cfg, 1);
-        let w = manual_flush_l1i(&mut m, 0, PAddr(0x20_0000));
-        let us = cfg.cycles_to_us(w.cycles);
+        let cycles = manual_flush_l1i(&mut m, 0, PAddr(0x20_0000));
+        let us = cfg.cycles_to_us(cycles);
         // Paper Table 2: ~26 µs dominated by mispredicted jumps.
         assert!((15.0..45.0).contains(&us), "manual L1-I flush {us} µs");
     }

@@ -182,7 +182,7 @@ pub struct BatchOut<'a> {
 /// `Clone` snapshots the entire micro-architectural state (caches, TLBs,
 /// predictors, noise-stream position, bus rings); a clone resumed from the
 /// same point produces a bit-identical future, which is what makes
-/// `tp-core`'s boot-prefix warm-start and replay snapshots sound.
+/// `tp-core`'s replay snapshots sound.
 #[derive(Debug, Clone)]
 pub struct Machine {
     /// Platform configuration.
@@ -201,11 +201,12 @@ pub struct Machine {
     /// `slices - 1` when the slice count is a power of two (mask dispatch,
     /// matching [`slice_index`] bit-for-bit); `None` falls back to it.
     slice_mask: Option<u64>,
-    /// Memoised sweep plans for the kernel's fixed flush buffers, keyed by
-    /// `(buffer base, insn side)` (a handful per machine: one or two per
-    /// kernel image). The manual x86 L1 flushes walk these buffers on
-    /// every domain switch.
-    flush_plans: Vec<(u64, bool, SweepPlan)>,
+    /// Memoised sweep plans for the kernel's fixed buffers, keyed by
+    /// `(buffer base, insn side, lines)` (a handful per machine: the two
+    /// flush buffers of each kernel image plus the shared kernel data).
+    /// The manual x86 L1 flushes and the shared-data prefetch walk these
+    /// buffers on every domain switch.
+    buffer_plans: Vec<(u64, bool, u64, SweepPlan)>,
     /// Per-core rings of recent DRAM-access cycle stamps (bus contention).
     bus: Vec<[u64; BUS_RING]>,
     /// Next write position per bus ring.
@@ -242,7 +243,7 @@ impl Machine {
             idx_l2: GeomIdx::new(cfg.l2),
             idx_sh: GeomIdx::new(slice_geom),
             slice_mask: n_slices.is_power_of_two().then(|| n_slices - 1),
-            flush_plans: Vec::new(),
+            buffer_plans: Vec::new(),
             shared,
             bus: vec![[BUS_EMPTY; BUS_RING]; n],
             bus_pos: vec![0; n],
@@ -321,15 +322,28 @@ impl Machine {
         &mut self.rng
     }
 
-    /// Count other-core DRAM accesses inside the contention window and
-    /// record this one. O(cores × ring) — constant — instead of the old
-    /// linear scan over a shared `VecDeque` of every recent access.
+    /// Charge this core's DRAM access for other-core DRAM accesses inside
+    /// the contention window, and record it.
     fn bus_contention(&mut self, core: usize) -> u64 {
-        let now = self.cores[core].cycles;
-        let floor = now.saturating_sub(BUS_WINDOW);
+        let charge = self.bus_charge(core);
+        let pos = usize::from(self.bus_pos[core]);
+        self.bus[core][pos] = self.cores[core].cycles;
+        self.bus_pos[core] = ((pos + 1) % BUS_RING) as u8;
+        charge
+    }
+
+    /// The contention charge a DRAM access by `core` would pay now.
+    ///
+    /// A ring whose newest stamp is empty or older than the window is
+    /// skipped whole: a core writes its stamps in cycle order and cycle
+    /// counters only advance, so every other stamp in it is older still.
+    /// Idle cores (most systems run on core 0 only) thus cost one compare.
+    fn bus_charge(&self, core: usize) -> u64 {
+        let floor = self.cores[core].cycles.saturating_sub(BUS_WINDOW);
         let mut contenders = 0u64;
         for (c, ring) in self.bus.iter().enumerate() {
-            if c == core {
+            let newest = ring[(usize::from(self.bus_pos[c]) + BUS_RING - 1) % BUS_RING];
+            if c == core || newest == BUS_EMPTY || newest < floor {
                 continue;
             }
             for &t in ring {
@@ -338,9 +352,6 @@ impl Machine {
                 }
             }
         }
-        let pos = usize::from(self.bus_pos[core]);
-        self.bus[core][pos] = now;
-        self.bus_pos[core] = ((pos + 1) % BUS_RING) as u8;
         contenders.min(BUS_MAX_CONTENDERS) * self.cfg.lat.bus_contend
     }
 
@@ -614,29 +625,29 @@ impl Machine {
     }
 
     /// The memoised sweep plan covering the `lines`-line buffer at
-    /// `buf_pa` (built on first use). Flush buffers are fixed per kernel
+    /// `buf_pa` (built on first use). Kernel buffers are fixed per kernel
     /// image, so the cache stays tiny.
-    pub(crate) fn flush_plan(&mut self, buf_pa: PAddr, insn: bool, lines: u64) -> usize {
+    pub(crate) fn buffer_plan(&mut self, buf_pa: PAddr, insn: bool, lines: u64) -> usize {
         if let Some(i) = self
-            .flush_plans
+            .buffer_plans
             .iter()
-            .position(|(b, ins, _)| *b == buf_pa.0 && *ins == insn)
+            .position(|(b, ins, n, _)| *b == buf_pa.0 && *ins == insn && *n == lines)
         {
             return i;
         }
         let line = self.cfg.line;
         let pas: Vec<PAddr> = (0..lines).map(|i| PAddr(buf_pa.0 + i * line)).collect();
         let plan = self.plan_sweep(insn, &pas);
-        self.flush_plans.push((buf_pa.0, insn, plan));
-        self.flush_plans.len() - 1
+        self.buffer_plans.push((buf_pa.0, insn, lines, plan));
+        self.buffer_plans.len() - 1
     }
 
-    /// Temporarily take a memoised flush plan out of the machine (so the
+    /// Temporarily take a memoised buffer plan out of the machine (so the
     /// caller can run it against `&mut self`); restore with
-    /// [`Machine::restore_flush_plan`].
-    pub(crate) fn take_flush_plan(&mut self, idx: usize) -> SweepPlan {
+    /// [`Machine::restore_buffer_plan`].
+    pub(crate) fn take_buffer_plan(&mut self, idx: usize) -> SweepPlan {
         std::mem::replace(
-            &mut self.flush_plans[idx].2,
+            &mut self.buffer_plans[idx].3,
             SweepPlan {
                 insn: false,
                 lines: Vec::new(),
@@ -644,9 +655,29 @@ impl Machine {
         )
     }
 
-    /// Put a plan taken with [`Machine::take_flush_plan`] back.
-    pub(crate) fn restore_flush_plan(&mut self, idx: usize, plan: SweepPlan) {
-        self.flush_plans[idx].2 = plan;
+    /// Put a plan taken with [`Machine::take_buffer_plan`] back.
+    pub(crate) fn restore_buffer_plan(&mut self, idx: usize, plan: SweepPlan) {
+        self.buffer_plans[idx].3 = plan;
+    }
+
+    /// Load every line of the contiguous `lines`-line buffer at `buf_pa`,
+    /// in order, through a memoised sweep plan; returns the total cycle
+    /// cost. Bit-identical to the same [`Machine::data_access`] reads one
+    /// by one — the path for fixed kernel buffers walked on every domain
+    /// switch.
+    pub fn load_buffer(
+        &mut self,
+        core: usize,
+        asid: Asid,
+        buf_pa: PAddr,
+        lines: u64,
+        global: bool,
+    ) -> u64 {
+        let idx = self.buffer_plan(buf_pa, false, lines);
+        let plan = self.take_buffer_plan(idx);
+        let total = self.access_batch(core, asid, &plan, false, global, &mut BatchOut::default());
+        self.restore_buffer_plan(idx, plan);
+        total
     }
 
     /// Execute a branch instruction at `pc`; returns the cycle cost.
@@ -685,9 +716,25 @@ impl Machine {
 }
 
 #[cfg(test)]
+impl Machine {
+    /// The contention charge [`Machine::bus_charge`] must match, scanning
+    /// every stamp of every other core's ring.
+    fn bus_charge_reference(&self, core: usize) -> u64 {
+        let floor = self.cores[core].cycles.saturating_sub(BUS_WINDOW);
+        let contenders = (0..self.bus.len())
+            .filter(|&c| c != core)
+            .flat_map(|c| self.bus[c])
+            .filter(|&t| t != BUS_EMPTY && t >= floor)
+            .count() as u64;
+        contenders.min(BUS_MAX_CONTENDERS) * self.cfg.lat.bus_contend
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::Platform;
+    use proptest::prelude::*;
 
     fn pa(x: u64) -> PAddr {
         PAddr(x)
@@ -803,6 +850,54 @@ mod tests {
             quiet < m.cfg.lat.dram + m.cfg.lat.tlb_walk + m.cfg.lat.l1_hit + 200,
             "stale bus stamps still charged: {quiet}"
         );
+    }
+
+    #[test]
+    fn load_buffer_matches_scalar_reads_for_every_length() {
+        // The same base swept at two lengths must use two plans: a memo
+        // keyed on the base alone would replay the first length.
+        let cfg = Platform::Haswell.config();
+        let mut mb = Machine::new(cfg, 5);
+        let mut ms = Machine::new(cfg, 5);
+        let base = PAddr(0x80_0000);
+        for lines in [4u64, 64, 4, 200] {
+            let total = mb.load_buffer(0, Asid::KERNEL, base, lines, true);
+            let mut want = 0;
+            for i in 0..lines {
+                let pa = PAddr(base.0 + i * cfg.line);
+                want += ms.data_access(0, Asid::KERNEL, va(pa.0), pa, false, true);
+            }
+            assert_eq!(total, want, "{lines} lines");
+            assert_eq!(mb.cycles(0), ms.cycles(0), "{lines} lines");
+        }
+    }
+
+    proptest! {
+        /// Skipping idle and stale rings never changes a bus charge: 2–8
+        /// cores issue DRAM-missing accesses (every line is fresh) with
+        /// random advances in between, and before each access the charge
+        /// equals a full scan of every ring.
+        #[test]
+        fn bus_charge_matches_full_ring_scan(
+            cores in 2usize..=8,
+            ops in proptest::collection::vec((0usize..8, 0u64..1_200, any::<bool>()), 1..200),
+        ) {
+            let mut cfg = Platform::Haswell.config();
+            cfg.cores = cores;
+            let mut m = Machine::new(cfg, 7);
+            for (i, (core, gap, access)) in ops.into_iter().enumerate() {
+                let core = core % cores;
+                m.advance(core, gap);
+                if access {
+                    prop_assert_eq!(m.bus_charge(core), m.bus_charge_reference(core));
+                    // One fresh line per access, a MiB apart: never cached,
+                    // never prefetched.
+                    let pa = PAddr((i as u64 + 1) << 20);
+                    let (_, level) = m.access_with_level(core, Asid(1), pa, false, false, false);
+                    prop_assert_eq!(level, HitLevel::Dram);
+                }
+            }
+        }
     }
 
     #[test]

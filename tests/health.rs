@@ -37,23 +37,17 @@ fn classify(kind: FaultKind, seed: u64) -> CellOutcome {
 /// chaos binary and the supervise unit tests.)
 #[test]
 fn legacy_fault_classes_classify_identically_across_executors() {
-    let cases: [(FaultKind, CellOutcome); 5] = [
+    let cases: [(FaultKind, CellOutcome); 4] = [
         (FaultKind::EnvPanic { at: 3 }, CellOutcome::Panicked),
         (FaultKind::EnvStall { at: 3 }, CellOutcome::TimedOut),
         (
             FaultKind::CommitFlip { index: 17 },
             CellOutcome::ReplayDiverged,
         ),
-        (FaultKind::SnapshotCorrupt, CellOutcome::SnapshotCorrupt),
         (FaultKind::NoisePoison { after: 64 }, CellOutcome::Panicked),
     ];
     for (i, (kind, expected)) in cases.into_iter().enumerate() {
         let seed = 0x0D1F_F000 + i as u64;
-        if kind == FaultKind::SnapshotCorrupt {
-            // Prime the boot cache for this shape so the supervised run
-            // restores a (corrupted) snapshot.
-            probe_cell(seed).expect("cache-priming run");
-        }
         let got = classify(kind, seed);
         assert_eq!(
             got,
