@@ -19,9 +19,9 @@
 //! golden file is generated at `TP_SAMPLES=0.25` (what CI runs).
 //!
 //! Every cell runs under the campaign supervisor
-//! ([`tp_bench::supervise`]): a panicking, hanging or corrupted cell is
-//! classified, retried where transient, quarantined into
-//! `goldens/quarantine.json`, and the campaign still completes with the
+//! ([`tp_bench::supervise`]): a panicking, hanging or deadlocked cell is
+//! run once, classified, quarantined into `goldens/quarantine.json` with
+//! its failing seed and error, and the campaign still completes with the
 //! remaining cells' results. `TP_FAULT` injects a deterministic fault for
 //! chaos-testing exactly that machinery (see `tp_core::fault`), and
 //! `TP_CELL_TIMEOUT` overrides the per-cell wall-clock deadline that is
@@ -249,8 +249,7 @@ fn main() -> ExitCode {
     // Heavy-first scheduling so expensive experiments overlap the cheap
     // tail; completed cells are cached (checksummed, fsynced, renamed into
     // place) the moment they finish, so a SIGKILL between cells loses
-    // nothing. Only a first-attempt healthy cell is cached: a retry runs on
-    // salted seeds, which the key does not describe.
+    // nothing. Only a healthy cell is cached.
     todo.sort_by_key(|&(_, d, _)| std::cmp::Reverse(d.cost));
     let t_all = Instant::now();
     type Cell = (usize, &'static str, Platform, f64, supervise::CellReport);
@@ -264,9 +263,7 @@ fn main() -> ExitCode {
         let run = d.run;
         let report = supervise::run_cell(d.name, p.key(), plan.as_ref(), deadline, move || run(p));
         let seconds = t0.elapsed().as_secs_f64();
-        if let (CellOutcome::Ok, 1, Some(channels)) =
-            (report.outcome, report.attempts, &report.channels)
-        {
+        if let (CellOutcome::Ok, Some(channels)) = (report.outcome, &report.channels) {
             let rec = CellRecord::new(d.name, p, seconds, channels);
             if let Err(e) = store::store_cell(CACHE_DIR, &rec) {
                 eprintln!("[failed to cache {} on {}: {e}]", d.name, p.key());
@@ -314,11 +311,10 @@ fn main() -> ExitCode {
             ));
         } else {
             eprintln!(
-                "[QUARANTINED {} on {}: {} after {} attempt(s): {}]",
+                "[QUARANTINED {} on {}: {}: {}]",
                 name,
                 p.key(),
                 report.outcome.name(),
-                report.attempts,
                 report.error.as_deref().unwrap_or("no detail"),
             );
             supervise::note_quarantined();
@@ -326,7 +322,6 @@ fn main() -> ExitCode {
                 experiment: name.to_string(),
                 platform: p.key().to_string(),
                 outcome: report.outcome,
-                attempts: report.attempts,
                 error: report.error.unwrap_or_default(),
             });
         }

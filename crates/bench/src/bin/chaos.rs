@@ -1,80 +1,34 @@
-//! Chaos harness: prove the campaign supervisor survives every fault
-//! class, and that the durable store recovers from process death and
-//! cell-cache damage.
+//! Chaos harness: prove that the durable store recovers a real `campaign`
+//! process from death and from cell-cache damage.
 //!
 //! ```text
-//! cargo run --release -p tp-bench --bin chaos    # every fault class
-//! TP_FAULT=env-stall@3 cargo run -p tp-bench --bin chaos
-//! TP_FAULT=kill@2      cargo run --release -p tp-bench --bin chaos
+//! cargo build --release -p tp-bench --bin campaign
+//! cargo run --release -p tp-bench --bin chaos                # every class
+//! TP_FAULT=kill@2 cargo run --release -p tp-bench --bin chaos  # one class
 //! ```
 //!
-//! Two families of faults:
+//! The harness runs the real `campaign` binary as a subprocess in a scratch
+//! directory, injures it — `kill@N` SIGKILLs it once N cell cache files
+//! exist, `torn-write` truncates a cache file, `cache-rot` flips a byte
+//! inside one (both on the lexicographically first file) — and then runs
+//! `campaign --resume`, asserting the resumed run exits cleanly and
+//! produces the same artifacts (byte-identical goldens, results modulo
+//! wall times) as an undisturbed reference run.
 //!
-//! * **In-process** (all of [`tp_core::FaultKind::all_defaults`]): the
-//!   harness supervises a synthetic cell with the fault armed and asserts
-//!   the supervisor classifies it as expected — then runs one healthy
-//!   control cell and asserts it still comes back clean, with zero
-//!   retries. The quarantine ledger the faulted cells produced is written
-//!   exactly as a real campaign would write it.
-//! * **Store-level** (`kill@N`, `torn-write`, `cache-rot`): the harness
-//!   runs the real `campaign` binary as a subprocess in a scratch
-//!   directory, injures it — SIGKILL once N cell cache files exist, a
-//!   truncated cache file, a flipped byte inside a cache file (both on
-//!   the lexicographically first file) — and then runs `campaign
-//!   --resume`, asserting the resumed run exits cleanly and produces the
-//!   same artifacts (byte-identical goldens, results modulo wall times)
-//!   as an undisturbed reference run.
-//!
-//! Any mismatch exits nonzero.
+//! The in-process fault classes (`env-panic`, `env-stall`, `lost-wakeup`,
+//! `stack-overflow`) need no subprocess: their classification table is
+//! `tests/health.rs`. Any mismatch exits nonzero.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
-use tp_bench::campaign::{self, ChannelResult, ExperimentDef};
 use tp_bench::cli;
-use tp_bench::store::{u64_field, write_atomic, CACHE_DIR};
-use tp_bench::supervise::{
-    self, cell_timeout_override, fleet_cell, pair_cell, probe_cell, quarantine_json, run_cell,
-    CellOutcome, QuarantineEntry,
-};
+use tp_bench::store::{u64_field, CACHE_DIR};
 use tp_bench::util::Table;
-use tp_core::{FaultKind, FaultPlan, SimError};
-use tp_sim::Platform;
-
-/// Where the quarantine ledger is written (same path as the campaign's).
-const QUARANTINE_PATH: &str = "goldens/quarantine.json";
 
 /// The cell subset the store scenarios run: four cheap cells, enough to
 /// kill a campaign between cache writes and still finish fast.
 const CHILD_CELLS: &[&str] = &["--only", "tlb,btb", "--platform", "haswell,sabre"];
-
-fn expected_outcome(kind: FaultKind) -> CellOutcome {
-    match kind {
-        FaultKind::EnvPanic { .. } | FaultKind::NoisePoison { .. } => CellOutcome::Panicked,
-        FaultKind::EnvStall { .. } => CellOutcome::TimedOut,
-        FaultKind::CommitFlip { .. } => CellOutcome::ReplayDiverged,
-        // The deadlock detector must classify the wedged token, never the
-        // wall-clock watchdog.
-        FaultKind::LostWakeup { .. } => CellOutcome::Deadlock,
-        FaultKind::StackOverflow => CellOutcome::StackOverflow,
-    }
-}
-
-/// The synthetic cell a fault class is exercised against. `lost-wakeup`
-/// needs cross-core token rotation (the pair cell); everything else runs
-/// the probe cell.
-fn cell_body(
-    kind: FaultKind,
-    seed: u64,
-) -> Box<dyn Fn() -> Result<Vec<ChannelResult>, SimError> + Send + Sync> {
-    match kind {
-        FaultKind::LostWakeup { .. } => Box::new(move || pair_cell(seed)),
-        _ => Box::new(move || probe_cell(seed)),
-    }
-}
-
-// ------------------------------------------------------ store fault classes
 
 /// A process-level fault injected around the real `campaign` binary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -335,546 +289,74 @@ fn run_store_fault(
     Ok(format!("skipped {skipped}, damaged {damaged}"))
 }
 
-// ---------------------------------------------------------- randomized sweep
-
-/// SplitMix64: the sweep's only randomness source, so a `--seed` replays
-/// the exact plan sequence.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Draw one fuzzed fault class with a fuzzed trigger ordinal in 1..=40.
-fn fuzz_kind(state: &mut u64) -> FaultKind {
-    let at = 1 + splitmix(state) % 40;
-    match splitmix(state) % 6 {
-        0 => FaultKind::EnvPanic { at },
-        1 => FaultKind::EnvStall { at },
-        2 => FaultKind::CommitFlip { index: at as usize },
-        3 => FaultKind::NoisePoison { after: at * 8 },
-        4 => FaultKind::LostWakeup { at },
-        _ => FaultKind::StackOverflow,
-    }
-}
-
-/// The classifications a fuzzed plan is allowed to produce on a real
-/// campaign cell. `Ok` is allowed wherever the fuzzed trigger may simply
-/// never fire (single-core cells never rotate the token; environments
-/// that never syscall or `wait_preempt` — e.g. the bus channel's pure
-/// load/compute loops — never tick the interaction ordinal that arms
-/// env-level faults) — but
-/// an `Ok` faulted cell must then be byte-identical to the healthy
-/// reference, which the sweep enforces.
-fn allowed_outcomes(kind: FaultKind) -> Vec<CellOutcome> {
-    use CellOutcome as O;
-    match kind {
-        FaultKind::EnvPanic { .. } => vec![O::Panicked, O::EnvFailed, O::Ok],
-        FaultKind::EnvStall { .. } => vec![O::TimedOut, O::Ok],
-        FaultKind::CommitFlip { .. } => vec![O::ReplayDiverged],
-        FaultKind::NoisePoison { .. } => vec![O::Panicked, O::EnvFailed, O::Ok],
-        // The detector needs every environment suspended. A cell with a
-        // spinning daemon (e.g. the bus sender's compute loop) turns a
-        // wedged token into a livelock, which only the watchdog can
-        // classify — `TimedOut` is the correct verdict there.
-        FaultKind::LostWakeup { .. } => vec![O::Deadlock, O::TimedOut, O::Ok],
-        FaultKind::StackOverflow => vec![O::StackOverflow, O::EnvFailed, O::Ok],
-    }
-}
-
-/// A bit-exact fingerprint of a cell's results, for the healthy-cells-
-/// byte-identical gate (`f64`s compared by bit pattern, not display).
-fn fingerprint(channels: &[ChannelResult]) -> String {
-    let mut s = String::new();
-    for c in channels {
-        let _ = writeln!(
-            s,
-            "{}/{}/{} v={:016x} b={:016x} leaks={} n={}",
-            c.channel,
-            c.mechanism,
-            c.metric,
-            c.value.to_bits(),
-            c.baseline.to_bits(),
-            c.leaks,
-            c.samples
-        );
-    }
-    s
-}
-
-/// The sweep universe: the four cheap registry experiments on two
-/// platforms — eight real campaign cells, fast enough to re-run dozens of
-/// times under fuzzed faults.
-fn sweep_universe(defs: &[ExperimentDef]) -> Vec<(&ExperimentDef, Platform)> {
-    const CHEAP: [&str; 4] = ["tlb", "btb", "bhb", "bus"];
-    let mut u = Vec::new();
-    for name in CHEAP {
-        if let Some(d) = defs.iter().find(|d| d.name == name) {
-            for p in [Platform::Haswell, Platform::Sabre] {
-                if (d.supports)(p) {
-                    u.push((d, p));
-                }
-            }
-        }
-    }
-    u
-}
-
-/// Compare the reference pass's verdicts against the committed goldens,
-/// when the sample scale matches the pinned one. Returns the number of
-/// mismatches (0 when skipped).
-fn check_reference_verdicts(cells: &[(&ExperimentDef, Platform, Vec<ChannelResult>)]) -> usize {
-    let Ok((text, _)) = tp_bench::store::read_artifact("goldens/verdicts.json") else {
-        eprintln!("[sweep: goldens/verdicts.json unreadable; reference-verdict gate skipped]");
-        return 0;
-    };
-    let scale = tp_bench::util::effort();
-    match campaign::golden_tp_samples(&text) {
-        Some(pinned) if (pinned - scale).abs() < 1e-9 => {}
-        pinned => {
-            eprintln!(
-                "[sweep: goldens pinned at TP_SAMPLES={pinned:?}, run at {scale}; \
-                 reference-verdict gate skipped]"
-            );
-            return 0;
-        }
-    }
-    let golden = campaign::parse_golden(&text);
-    let mut mismatches = 0;
-    for (d, p, channels) in cells {
-        for c in channels {
-            let key = (
-                d.name.to_string(),
-                p.key().to_string(),
-                c.channel.to_string(),
-                c.mechanism.to_string(),
-            );
-            match golden.get(&key) {
-                Some(v) if v == c.verdict() => {}
-                Some(v) => {
-                    mismatches += 1;
-                    eprintln!(
-                        "sweep: reference verdict for {}/{}/{}/{} is {:?}, golden says {v:?}",
-                        d.name,
-                        p.key(),
-                        c.channel,
-                        c.mechanism,
-                        c.verdict()
-                    );
-                }
-                None => {} // platform-filtered goldens: absence is not a diff
-            }
-        }
-    }
-    mismatches
-}
-
-/// The randomized chaos sweep: fuzz `budget` seeded `(class, ordinal,
-/// cell)` fault plans across real campaign cells. Gates: every faulted
-/// cell classifies inside its allowed set (and the supervisor never
-/// unwinds — the sweep itself is the "faulted campaigns exit 0" proof);
-/// an `Ok` faulted cell and every interleaved healthy re-run must be
-/// byte-identical to the healthy reference pass.
-fn run_sweep(seed: u64, budget: usize) -> ExitCode {
-    let defs = campaign::registry();
-    let universe = sweep_universe(&defs);
-    eprintln!(
-        "[sweep: seed {seed:#x}, {budget} plan(s) over {} cell(s)]",
-        universe.len()
-    );
-
-    // Healthy reference pass: fingerprints + per-cell wall times (which
-    // derive the faulted runs' deadlines) + the golden-verdict gate.
-    let mut reference: Vec<(String, f64)> = Vec::new();
-    let mut ref_cells: Vec<(&ExperimentDef, Platform, Vec<ChannelResult>)> = Vec::new();
-    for &(d, p) in &universe {
-        let t0 = Instant::now();
-        let run = d.run;
-        let report = run_cell(d.name, p.key(), None, Duration::from_secs(600), move || {
-            run(p)
-        });
-        let secs = t0.elapsed().as_secs_f64();
-        let Some(channels) = report
-            .channels
-            .filter(|_| report.outcome == CellOutcome::Ok)
-        else {
-            eprintln!(
-                "sweep: reference run of {} on {} came back {}: {}",
-                d.name,
-                p.key(),
-                report.outcome.name(),
-                report.error.as_deref().unwrap_or("no detail"),
-            );
-            return ExitCode::FAILURE;
-        };
-        reference.push((fingerprint(&channels), secs));
-        ref_cells.push((d, p, channels));
-        eprintln!("[sweep reference: {} on {} in {secs:.1}s]", d.name, p.key());
-    }
-    let mut failures = check_reference_verdicts(&ref_cells);
-
-    let mut t = Table::new(&["Plan", "Cell", "Outcome", "Attempts", "Result"]);
-    let mut state = seed;
-    for i in 0..budget {
-        let kind = fuzz_kind(&mut state);
-        let idx = (splitmix(&mut state) % universe.len() as u64) as usize;
-        let (d, p) = universe[idx];
-        let plan = FaultPlan {
-            kind,
-            cell: Some((d.name.to_string(), p.key().to_string())),
-        };
-        // A stalled attempt burns its whole deadline, so bound it by the
-        // cell's observed healthy runtime instead of the generous default.
-        let deadline = Duration::from_secs_f64((reference[idx].1 * 4.0).clamp(2.0, 600.0));
-        let run = d.run;
-        let report = run_cell(d.name, p.key(), Some(&plan), deadline, move || run(p));
-        let allowed = allowed_outcomes(kind);
-        let mut verdict = if allowed.contains(&report.outcome) {
-            "PASS"
-        } else {
-            failures += 1;
-            eprintln!(
-                "sweep: plan {plan} on {}/{} classified {} (allowed: {}): {}",
-                d.name,
-                p.key(),
-                report.outcome.name(),
-                allowed
-                    .iter()
-                    .map(|o| o.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                report.error.as_deref().unwrap_or("no detail"),
-            );
-            "FAIL"
-        };
-        if verdict == "PASS"
-            && report.outcome == CellOutcome::Ok
-            && !matches!(kind, FaultKind::LostWakeup { .. })
-        {
-            // The fault never fired: the cell must be indistinguishable
-            // from the healthy reference. (`lost-wakeup` is exempt: a
-            // wedged token starves off-token environments, and when the
-            // primaries can still finish the run completes `Ok` with
-            // legitimately degraded data — the strong detector guarantees
-            // are pinned on the dedicated pair cell instead.)
-            let fp = fingerprint(&report.channels.unwrap_or_default());
-            if fp != reference[idx].0 {
-                failures += 1;
-                verdict = "FAIL";
-                eprintln!(
-                    "sweep: plan {plan} on {}/{} came back ok but diverged from the reference",
-                    d.name,
-                    p.key()
-                );
-            }
-        }
-        t.row(&[
-            plan.to_string(),
-            format!("{}/{}", d.name, p.key()),
-            report.outcome.name().to_string(),
-            report.attempts.to_string(),
-            verdict.to_string(),
-        ]);
-
-        // One rotating healthy cell per plan: fault injection is scoped
-        // and thread-local, so sick plans must never contaminate healthy
-        // cells — byte-identical to the reference, every time.
-        let h = i % universe.len();
-        let (hd, hp) = universe[h];
-        let hrun = hd.run;
-        let healthy = run_cell(
-            hd.name,
-            hp.key(),
-            None,
-            Duration::from_secs(600),
-            move || hrun(hp),
-        );
-        let clean = healthy.outcome == CellOutcome::Ok
-            && fingerprint(&healthy.channels.unwrap_or_default()) == reference[h].0;
-        if !clean {
-            failures += 1;
-            eprintln!(
-                "sweep: healthy cell {} on {} diverged from the reference after plan {plan} ({})",
-                hd.name,
-                hp.key(),
-                healthy.outcome.name(),
-            );
-        }
-    }
-
-    println!("{}", t.render());
-    if failures == 0 {
-        println!("sweep: {budget} fuzzed plan(s) classified inside their allowed sets; healthy cells byte-identical");
-        ExitCode::SUCCESS
-    } else {
-        println!("sweep: {failures} gate failure(s)");
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
-    // The class matrix is driven by `TP_FAULT`; the randomized sweep by
-    // `--sweep`. Anything else is the shared bad-flag convention (report
-    // + exit 2) so a typo'd invocation fails loudly.
-    let sweep = cli::parse_or_exit("chaos", || {
-        let mut sweep: Option<(u64, usize)> = None;
-        let mut seed = 0xC4A0_5EED_u64;
-        let mut budget = 40_usize;
-        let mut flags = false;
-        let mut it = cli::ArgStream::from_env();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--sweep" => sweep = Some((0, 0)),
-                "--seed" => {
-                    seed = cli::parse_u64("--seed", &it.value("--seed")?)?;
-                    flags = true;
-                }
-                "--budget" => {
-                    budget = cli::parse_u64("--budget", &it.value("--budget")?)? as usize;
-                    flags = true;
-                }
-                other => {
-                    return Err(format!(
-                        "unknown argument {other:?} (chaos takes --sweep [--seed N] \
-                         [--budget N]; the class matrix is configured via TP_FAULT)"
-                    ))
-                }
-            }
-        }
-        if sweep.is_none() && flags {
-            return Err("--seed/--budget require --sweep".into());
-        }
-        if budget == 0 {
-            return Err("--budget needs at least one plan".into());
-        }
-        Ok(sweep.map(|_| (seed, budget)))
+    // No flags: a typo'd invocation fails loudly under the shared
+    // bad-flag convention (report + exit 2).
+    cli::parse_or_exit("chaos", || match cli::ArgStream::from_env().next() {
+        Some(arg) => Err(format!(
+            "unknown argument {arg:?} (chaos takes no arguments; pick one class with \
+             TP_FAULT=kill@N|torn-write|cache-rot)"
+        )),
+        None => Ok(()),
     });
-    if let Some((seed, budget)) = sweep {
-        return run_sweep(seed, budget);
-    }
 
-    // `TP_FAULT` selects either one store-level class (parsed here) or one
-    // in-process class (parsed by `FaultPlan`); unset runs everything.
-    let raw_fault = std::env::var("TP_FAULT").ok();
-    let store_only = raw_fault.as_deref().and_then(StoreFault::parse);
-
-    let plans: Vec<FaultPlan> = if store_only.is_some() {
-        Vec::new()
-    } else {
-        match FaultPlan::from_env() {
-            Ok(Some(mut p)) => {
-                if p.cell.take().is_some() {
-                    eprintln!("[chaos: ignoring the :cell= scope; chaos runs synthetic cells]");
-                }
-                vec![p]
-            }
-            Ok(None) => FaultKind::all_defaults()
-                .into_iter()
-                .map(FaultPlan::new)
-                .collect(),
-            Err(e) => {
-                eprintln!("chaos: {e}");
+    let faults = match std::env::var("TP_FAULT") {
+        Ok(raw) if !raw.trim().is_empty() => match StoreFault::parse(&raw) {
+            Some(f) => vec![f],
+            None => {
+                eprintln!(
+                    "chaos: TP_FAULT: unknown store fault class `{}` (expected kill@N, \
+                     torn-write or cache-rot; the in-process classes are tested by \
+                     tests/health.rs)",
+                    raw.trim()
+                );
                 return ExitCode::from(2);
             }
-        }
-    };
-    let store_faults: Vec<StoreFault> = match store_only {
-        Some(f) => vec![f],
-        None if raw_fault.is_some() => Vec::new(),
-        None => StoreFault::all(),
+        },
+        _ => StoreFault::all(),
     };
 
-    // A tight deadline keeps the env-stall class (3 watchdog-bounded
-    // attempts) fast; `TP_CELL_TIMEOUT` still overrides for debugging.
-    let deadline = cell_timeout_override().unwrap_or(Duration::from_secs(2));
-
-    let mut t = Table::new(&["Fault", "Expected", "Classified", "Attempts", "Result"]);
-    let mut quarantine: Vec<QuarantineEntry> = Vec::new();
+    let mut t = Table::new(&["Fault", "Result", "Detail"]);
     let mut failures = 0usize;
-    for (i, plan) in plans.iter().enumerate() {
-        let expected = expected_outcome(plan.kind);
-        let seed = 0xC4A0_5000 + i as u64;
-        let name = plan.kind.class_name();
-        let report = run_cell(
-            "chaos",
-            "haswell",
-            Some(plan),
-            deadline,
-            cell_body(plan.kind, seed),
-        );
-        if matches!(plan.kind, FaultKind::LostWakeup { .. }) {
-            // The CI deadlock smoke diffs this line across coroutine
-            // backends: same classification, same interaction ordinal.
-            println!(
-                "deadlock-detail: {}",
-                report.error.as_deref().unwrap_or("no detail")
-            );
+    let setup = campaign_exe().and_then(|exe| {
+        let base = std::env::temp_dir().join(format!("tp-chaos-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        eprintln!("[reference campaign in {}]", base.display());
+        reference_run(&exe, &base).map(|r| (exe, base, r))
+    });
+    match setup {
+        Err(e) => {
+            failures += faults.len();
+            eprintln!("chaos: store scenarios failed to set up: {e}");
+            for f in &faults {
+                t.row(&[f.name(), "FAIL".to_string(), "setup failed".to_string()]);
+            }
         }
-        let pass = report.outcome == expected;
-        if !pass {
-            failures += 1;
-            eprintln!(
-                "chaos: {} misclassified as {} (expected {}): {}",
-                plan,
-                report.outcome.name(),
-                expected.name(),
-                report.error.as_deref().unwrap_or("no detail"),
-            );
-        }
-        if report.outcome != CellOutcome::Ok {
-            supervise::note_quarantined();
-            quarantine.push(QuarantineEntry {
-                experiment: format!("chaos-{name}"),
-                platform: "haswell".to_string(),
-                outcome: report.outcome,
-                attempts: report.attempts,
-                error: report.error.unwrap_or_default(),
-            });
-        }
-        t.row(&[
-            plan.to_string(),
-            expected.name().to_string(),
-            report.outcome.name().to_string(),
-            report.attempts.to_string(),
-            if pass { "PASS" } else { "FAIL" }.to_string(),
-        ]);
-    }
-
-    if !plans.is_empty() && raw_fault.is_none() {
-        // Per-environment isolation: an env-panic that lands on a daemon
-        // tenant of the fleet cell must *complete* with survivor-only
-        // results — `EnvFailed`, one attempt, partial report instead of a
-        // whole-cell quarantine.
-        let p = FaultPlan::new(FaultKind::EnvPanic { at: 2 });
-        let r = run_cell(
-            "chaos-fleet",
-            "haswell",
-            Some(&p),
-            Duration::from_secs(120),
-            || fleet_cell(0xC4A0_51EE),
-        );
-        let pass = r.outcome == CellOutcome::EnvFailed && r.channels.is_some() && r.attempts == 1;
-        if !pass {
-            failures += 1;
-            eprintln!(
-                "chaos: fleet isolation demo came back {} after {} attempt(s): {}",
-                r.outcome.name(),
-                r.attempts,
-                r.error.as_deref().unwrap_or("no detail"),
-            );
-        }
-        t.row(&[
-            "env-panic@2 (fleet daemon)".to_string(),
-            "env-failed".to_string(),
-            r.outcome.name().to_string(),
-            r.attempts.to_string(),
-            if pass { "PASS" } else { "FAIL" }.to_string(),
-        ]);
-    }
-
-    if !plans.is_empty() {
-        // The healthy control: supervision must be transparent for a cell
-        // that needs none of it.
-        let before = supervise::counters();
-        let healthy = run_cell(
-            "chaos-healthy",
-            "haswell",
-            None,
-            Duration::from_secs(120),
-            || probe_cell(0xC4A0_50FF),
-        );
-        let after = supervise::counters();
-        let healthy_ok = healthy.outcome == CellOutcome::Ok
-            && healthy.attempts == 1
-            && after.retries == before.retries;
-        if !healthy_ok {
-            failures += 1;
-            eprintln!(
-                "chaos: healthy control cell came back {} after {} attempt(s): {}",
-                healthy.outcome.name(),
-                healthy.attempts,
-                healthy.error.as_deref().unwrap_or("no detail"),
-            );
-        }
-        t.row(&[
-            "(none)".to_string(),
-            "ok".to_string(),
-            healthy.outcome.name().to_string(),
-            healthy.attempts.to_string(),
-            if healthy_ok { "PASS" } else { "FAIL" }.to_string(),
-        ]);
-
-        match write_atomic(QUARANTINE_PATH, &quarantine_json(&quarantine)) {
-            Ok(()) => eprintln!(
-                "[wrote {QUARANTINE_PATH}: {} quarantined cell(s)]",
-                quarantine.len()
-            ),
-            Err(e) => eprintln!("[failed to write {QUARANTINE_PATH}: {e}]"),
-        }
-    }
-
-    // Store-level classes: injure a real campaign subprocess, resume it,
-    // and require the reference artifacts back.
-    if !store_faults.is_empty() {
-        let setup = campaign_exe().and_then(|exe| {
-            let base = std::env::temp_dir().join(format!("tp-chaos-store-{}", std::process::id()));
+        Ok((exe, base, reference)) => {
+            for &fault in &faults {
+                let (result, detail) = match run_store_fault(fault, &exe, &base, &reference) {
+                    Ok(summary) => ("PASS", format!("recovered: {summary}")),
+                    Err(e) => {
+                        failures += 1;
+                        eprintln!("chaos: {} NOT recovered: {e}", fault.name());
+                        ("FAIL", "not recovered".to_string())
+                    }
+                };
+                t.row(&[fault.name(), result.to_string(), detail]);
+            }
             let _ = std::fs::remove_dir_all(&base);
-            eprintln!(
-                "[store scenarios: reference campaign in {}]",
-                base.display()
-            );
-            reference_run(&exe, &base).map(|r| (exe, base, r))
-        });
-        match setup {
-            Err(e) => {
-                failures += store_faults.len();
-                eprintln!("chaos: store scenarios failed to set up: {e}");
-                for f in &store_faults {
-                    t.row(&[
-                        f.name(),
-                        "recovered".to_string(),
-                        "setup-failed".to_string(),
-                        "-".to_string(),
-                        "FAIL".to_string(),
-                    ]);
-                }
-            }
-            Ok((exe, base, reference)) => {
-                for &fault in &store_faults {
-                    let res = run_store_fault(fault, &exe, &base, &reference);
-                    let (classified, pass) = match &res {
-                        Ok(summary) => {
-                            eprintln!("[{}: recovered — {summary}]", fault.name());
-                            ("recovered".to_string(), true)
-                        }
-                        Err(e) => {
-                            failures += 1;
-                            eprintln!("chaos: {} NOT recovered: {e}", fault.name());
-                            ("not-recovered".to_string(), false)
-                        }
-                    };
-                    t.row(&[
-                        fault.name(),
-                        "recovered".to_string(),
-                        classified,
-                        "-".to_string(),
-                        if pass { "PASS" } else { "FAIL" }.to_string(),
-                    ]);
-                }
-                let _ = std::fs::remove_dir_all(&base);
-            }
         }
     }
 
     println!("{}", t.render());
-    let total = plans.len() + store_faults.len();
     if failures == 0 {
-        println!("chaos: all {total} fault class(es) classified correctly");
+        println!(
+            "chaos: all {} store fault class(es) recovered",
+            faults.len()
+        );
         ExitCode::SUCCESS
     } else {
-        println!("chaos: {failures} classification failure(s)");
+        println!("chaos: {failures} recovery failure(s)");
         ExitCode::FAILURE
     }
 }

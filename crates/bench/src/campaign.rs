@@ -66,19 +66,22 @@ const VOTE_SEEDS: [u64; 3] = [
 /// with the majority (so a reported row is always self-consistent — a
 /// "leak" row shows an M above its M0, a "closed" row one below).
 ///
-/// Each seed is XORed with the supervisor's retry salt
-/// ([`crate::supervise::retry_salt`], zero outside a retry), so a retried
-/// cell explores fresh seeds deterministically while a first attempt is
-/// byte-identical to an unsupervised run.
+/// A failing seed stops the vote; its error message is prefixed with the
+/// seed (`seed 0x5eed: …`), so a quarantined cell names the exact run to
+/// reproduce. The error's kind is kept, and classification keys on it.
 fn vote(
     channel: &'static str,
     mechanism: &'static str,
     run: impl Fn(u64) -> Result<ChannelOutcome, SimError>,
 ) -> Result<ChannelResult, SimError> {
-    let salt = crate::supervise::retry_salt();
     let outcomes: Vec<ChannelOutcome> = VOTE_SEEDS
         .iter()
-        .map(|&s| run(s ^ salt))
+        .map(|&s| {
+            run(s).map_err(|mut e| {
+                e.message = format!("seed {s:#x}: {}", e.message);
+                e
+            })
+        })
         .collect::<Result<_, _>>()?;
     let leaks = outcomes.iter().filter(|o| o.verdict.leaks).count() * 2 > outcomes.len();
     let o = outcomes
@@ -514,11 +517,9 @@ pub fn bench_json(results: &[ExperimentResult], total_seconds: f64) -> String {
     let sup = crate::supervise::counters();
     let _ = writeln!(
         s,
-        "  \"supervisor\": {{\"retries\": {}, \"timeouts\": {}, \"panics\": {}, \"replay_diverged\": {}, \"quarantined\": {}, \"env_failed\": {}, \"deadlocks\": {}, \"stack_overflows\": {}}},",
-        sup.retries,
+        "  \"supervisor\": {{\"timeouts\": {}, \"panics\": {}, \"quarantined\": {}, \"env_failed\": {}, \"deadlocks\": {}, \"stack_overflows\": {}}},",
         sup.timeouts,
         sup.panics,
-        sup.replay_diverged,
         sup.quarantined,
         sup.env_failed,
         sup.deadlocks,

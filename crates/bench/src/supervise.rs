@@ -1,22 +1,24 @@
 //! The campaign supervisor: run every cell to a verdict, never to a hang.
 //!
 //! A *cell* is one experiment × platform combination. The supervisor runs
-//! each cell on its own worker thread under `catch_unwind` and a
-//! wall-clock watchdog, classifies every failure into a [`CellOutcome`],
-//! retries transient classes with deterministically bumped seeds, and
-//! hands the campaign binary enough structure to quarantine the cell and
-//! keep going — a mega-campaign always completes with partial results.
+//! each cell exactly once, on its own worker thread, under `catch_unwind`
+//! and a wall-clock watchdog, classifies the result into a
+//! [`CellOutcome`], and hands the campaign binary enough structure to
+//! quarantine a sick cell and keep going — a campaign always completes
+//! with partial results.
 //!
-//! The state machine per cell:
+//! There are no retries. The simulator is deterministic: a cell that fails
+//! on its canonical vote seeds fails the same way on every run, and a rerun
+//! on other seeds would return verdicts the goldens do not describe. The
+//! one failed attempt names the cell, the failing seed and the error.
 //!
 //! ```text
-//!            ┌────────────── retry (≤2, seed-bumped) ──────────────┐
-//!            ▼                                                     │
-//!   spawn → run ─ Ok ──────────→ selfchecks ──→ Ok                 │
-//!            │                     │                               │
-//!            │                     └ replay diverges   → ReplayDiverged
-//!            ├─ SimError(watchdog) / recv timeout → TimedOut ──────┤
-//!            └─ panic / SimError(program)         → Panicked ──────┘
+//!   spawn → run ─ Ok, no env failed ─────────────────────→ Ok
+//!            ├─ Ok, a daemon failed in isolation ─────────→ EnvFailed
+//!            ├─ SimError(watchdog) / recv timeout ────────→ TimedOut
+//!            ├─ SimError(deadlock) ───────────────────────→ Deadlock
+//!            ├─ SimError(stack overflow) ─────────────────→ StackOverflow
+//!            └─ panic / SimError(program) ────────────────→ Panicked
 //! ```
 //!
 //! All counters feed the `supervisor` object of `BENCH-campaign.json`; a
@@ -24,44 +26,16 @@
 
 use crate::campaign::ChannelResult;
 use crate::store::{num_field, str_field};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
-use tp_core::{fault, FaultKind, FaultPlan, SimError, SimErrorKind};
+use tp_core::{fault, FaultPlan, SimError, SimErrorKind};
 
-/// Maximum attempts per cell: the first run plus two seed-bumped retries.
-pub const MAX_ATTEMPTS: u32 = 3;
-
-/// Seed-salt stride between attempts. Attempt `n` salts every vote seed
-/// with `n * RETRY_SALT_STRIDE`; attempt 0 therefore runs the canonical
-/// seeds and is byte-identical to an unsupervised run.
-pub const RETRY_SALT_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
-thread_local! {
-    /// The seed salt for the attempt running on this thread (0 outside a
-    /// retry). Read by the campaign's `vote` when deriving channel seeds.
-    static RETRY_SALT: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Set the retry salt for work subsequently run on this thread.
-pub fn set_retry_salt(salt: u64) {
-    RETRY_SALT.with(|c| c.set(salt));
-}
-
-/// The retry salt of the current thread (0 outside a supervised retry).
-#[must_use]
-pub fn retry_salt() -> u64 {
-    RETRY_SALT.with(Cell::get)
-}
-
-static RETRIES: AtomicU64 = AtomicU64::new(0);
 static TIMEOUTS: AtomicU64 = AtomicU64::new(0);
 static PANICS: AtomicU64 = AtomicU64::new(0);
-static REPLAY_DIVERGED: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static ENV_FAILED: AtomicU64 = AtomicU64::new(0);
 static DEADLOCKS: AtomicU64 = AtomicU64::new(0);
@@ -71,22 +45,18 @@ static STACK_OVERFLOWS: AtomicU64 = AtomicU64::new(0);
 /// `BENCH-campaign.json` as the `supervisor` object.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisorCounters {
-    /// Retried attempts (beyond each cell's first).
-    pub retries: u64,
-    /// Attempts abandoned by the watchdog (engine or host side).
+    /// Cells stopped by the watchdog (engine or host side).
     pub timeouts: u64,
-    /// Attempts that panicked (host panic or simulated-program failure).
+    /// Cells that panicked (host panic or simulated-program failure).
     pub panics: u64,
-    /// Cells whose commit log failed the replay selfcheck.
-    pub replay_diverged: u64,
     /// Cells written to the quarantine ledger.
     pub quarantined: u64,
     /// Cells that completed with at least one environment failed in
     /// isolation (partial results over the survivors).
     pub env_failed: u64,
-    /// Attempts classified as a deterministic scheduler deadlock.
+    /// Cells classified as a deterministic scheduler deadlock.
     pub deadlocks: u64,
-    /// Attempts killed by a dead stack guard canary.
+    /// Cells killed by a dead stack guard canary.
     pub stack_overflows: u64,
 }
 
@@ -94,10 +64,8 @@ pub struct SupervisorCounters {
 #[must_use]
 pub fn counters() -> SupervisorCounters {
     SupervisorCounters {
-        retries: RETRIES.load(Ordering::Relaxed),
         timeouts: TIMEOUTS.load(Ordering::Relaxed),
         panics: PANICS.load(Ordering::Relaxed),
-        replay_diverged: REPLAY_DIVERGED.load(Ordering::Relaxed),
         quarantined: QUARANTINED.load(Ordering::Relaxed),
         env_failed: ENV_FAILED.load(Ordering::Relaxed),
         deadlocks: DEADLOCKS.load(Ordering::Relaxed),
@@ -113,21 +81,19 @@ pub fn note_quarantined() {
 /// The supervisor's classification of one cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellOutcome {
-    /// The cell completed and passed every selfcheck.
+    /// The cell completed with every environment healthy.
     Ok,
-    /// Every attempt panicked (host panic or simulated-program failure).
+    /// The cell panicked (host panic or simulated-program failure).
     Panicked,
-    /// Every attempt was stopped by the watchdog (or abandoned outright).
+    /// The cell was stopped by the watchdog (or abandoned outright).
     TimedOut,
-    /// The commit-log replay selfcheck found a diverging commit.
-    ReplayDiverged,
     /// The cell completed, but one or more non-primary environments failed
     /// in isolation: partial results over the survivors, not a quarantine.
     EnvFailed,
-    /// Every attempt ended in a deterministic scheduler deadlock (the coop
-    /// driver proved no environment can ever be admitted again).
+    /// The cell ended in a deterministic scheduler deadlock (the driver
+    /// proved no environment can ever be admitted again).
     Deadlock,
-    /// Every attempt died on a clobbered stack guard canary.
+    /// The cell died on a clobbered stack guard canary.
     StackOverflow,
 }
 
@@ -139,10 +105,20 @@ impl CellOutcome {
             CellOutcome::Ok => "ok",
             CellOutcome::Panicked => "panicked",
             CellOutcome::TimedOut => "timed-out",
-            CellOutcome::ReplayDiverged => "replay-diverged",
             CellOutcome::EnvFailed => "env-failed",
             CellOutcome::Deadlock => "deadlock",
             CellOutcome::StackOverflow => "stack-overflow",
+        }
+    }
+
+    fn counter(self) -> Option<&'static AtomicU64> {
+        match self {
+            CellOutcome::Ok => None,
+            CellOutcome::Panicked => Some(&PANICS),
+            CellOutcome::TimedOut => Some(&TIMEOUTS),
+            CellOutcome::EnvFailed => Some(&ENV_FAILED),
+            CellOutcome::Deadlock => Some(&DEADLOCKS),
+            CellOutcome::StackOverflow => Some(&STACK_OVERFLOWS),
         }
     }
 }
@@ -152,25 +128,14 @@ impl CellOutcome {
 pub struct CellReport {
     /// Final classification.
     pub outcome: CellOutcome,
-    /// The cell's results, when an attempt completed (present for
-    /// [`CellOutcome::Ok`] and for the degraded-but-complete classes).
+    /// The cell's results, when the run completed (present for
+    /// [`CellOutcome::Ok`] and [`CellOutcome::EnvFailed`]).
     pub channels: Option<Vec<ChannelResult>>,
-    /// Attempts consumed (1 ⇒ no retry).
-    pub attempts: u32,
-    /// Environments that failed in isolation during the reported attempt
-    /// (non-zero only for [`CellOutcome::EnvFailed`]).
+    /// Environments that failed in isolation during the run (non-zero
+    /// only for [`CellOutcome::EnvFailed`]).
     pub env_failed: u64,
     /// Human-readable failure description for non-`Ok` outcomes.
     pub error: Option<String>,
-}
-
-enum Attempt {
-    /// Completed: channels and how many environments failed in isolation.
-    Done(Vec<ChannelResult>, u64),
-    Panicked(String),
-    TimedOut(String),
-    Deadlocked(String),
-    StackOverflow(String),
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -183,310 +148,91 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn run_attempt(
-    armed: Option<FaultKind>,
+/// Supervise one cell: run `f` once on a worker thread with the given
+/// fault plan (if it matches this cell) and wall-clock deadline, and
+/// classify the outcome.
+pub fn run_cell(
+    experiment: &str,
+    platform: &str,
+    plan: Option<&FaultPlan>,
     deadline: Duration,
-    salt: u64,
-    f: Arc<dyn Fn() -> Result<Vec<ChannelResult>, SimError> + Send + Sync>,
-) -> Attempt {
-    let env_failed_before = tp_core::health_stats().env_failed;
+    f: impl FnOnce() -> Result<Vec<ChannelResult>, SimError> + Send + 'static,
+) -> CellReport {
+    let armed = plan
+        .filter(|p| p.matches(experiment, platform))
+        .map(|p| p.kind);
     let (tx, rx) = mpsc::channel();
     let cutoff = Instant::now() + deadline;
     std::thread::spawn(move || {
         fault::arm(armed);
         fault::set_deadline(Some(cutoff));
-        set_retry_salt(salt);
-        let r = catch_unwind(AssertUnwindSafe(|| f()));
-        let _ = tx.send(r);
+        let r = catch_unwind(AssertUnwindSafe(f));
+        // The driver runs inline on this thread, so the per-thread count is
+        // exactly this cell's isolated environment failures.
+        let _ = tx.send((r, tp_core::thread_env_failed()));
     });
     // Grace beyond the engine deadline: the engine watchdog should fire
     // first and return a classified error; the host-side timeout is the
     // backstop for a worker wedged outside the engine. A timed-out worker
     // is abandoned (detached), never joined.
     let grace = deadline + deadline / 4 + Duration::from_secs(10);
-    match rx.recv_timeout(grace) {
-        Err(_) => Attempt::TimedOut(format!(
-            "cell exceeded its {:.0}s deadline plus grace; worker abandoned",
-            deadline.as_secs_f64()
-        )),
-        Ok(Err(payload)) => {
+    let (outcome, channels, env_failed, error) = match rx.recv_timeout(grace) {
+        Err(_) => (
+            CellOutcome::TimedOut,
+            None,
+            0,
+            Some(format!(
+                "cell exceeded its {:.0}s deadline plus grace; worker abandoned",
+                deadline.as_secs_f64()
+            )),
+        ),
+        Ok((Err(payload), _)) => {
             // Cells whose experiments drive `SystemBuilder::run` (rather
             // than `try_run`) surface a watchdog abort as a panic carrying
             // the watchdog message; classify it by cause, not by transport.
             let msg = panic_message(payload.as_ref());
-            if msg.starts_with("watchdog") {
-                Attempt::TimedOut(msg)
+            let outcome = if msg.starts_with("watchdog") {
+                CellOutcome::TimedOut
             } else if msg.starts_with("deadlock") {
-                Attempt::Deadlocked(msg)
+                CellOutcome::Deadlock
             } else if msg.starts_with("stack overflow") {
-                Attempt::StackOverflow(msg)
+                CellOutcome::StackOverflow
             } else {
-                Attempt::Panicked(msg)
-            }
-        }
-        Ok(Ok(Err(e))) => match e.kind {
-            SimErrorKind::Watchdog => Attempt::TimedOut(e.to_string()),
-            SimErrorKind::ProgramPanic => Attempt::Panicked(e.to_string()),
-            SimErrorKind::Deadlock { .. } => Attempt::Deadlocked(e.to_string()),
-            SimErrorKind::StackOverflow => Attempt::StackOverflow(e.to_string()),
-        },
-        Ok(Ok(Ok(channels))) => {
-            // The env-failure delta is only trusted when the armed fault is
-            // one that can kill an environment — the counter is process-wide
-            // and concurrent healthy cells must not inherit a stray delta.
-            // (`noise-poison` qualifies: the exhausted stream panics inside
-            // whichever environment drew next, and when that is a daemon the
-            // isolation plane degrades the run instead of failing it.)
-            let env_failed = if matches!(
-                armed,
-                Some(FaultKind::EnvPanic { .. })
-                    | Some(FaultKind::StackOverflow)
-                    | Some(FaultKind::NoisePoison { .. })
-            ) {
-                tp_core::health_stats()
-                    .env_failed
-                    .saturating_sub(env_failed_before)
-            } else {
-                0
+                CellOutcome::Panicked
             };
-            Attempt::Done(channels, env_failed)
+            (outcome, None, 0, Some(msg))
         }
-    }
-}
-
-/// Supervise one cell: run `f` on a worker thread with the given fault
-/// plan (if it matches this cell) and wall-clock deadline, classify the
-/// outcome, and retry panicked/timed-out attempts up to
-/// [`MAX_ATTEMPTS`] with deterministically salted seeds.
-pub fn run_cell(
-    experiment: &str,
-    platform: &str,
-    plan: Option<&FaultPlan>,
-    deadline: Duration,
-    f: impl Fn() -> Result<Vec<ChannelResult>, SimError> + Send + Sync + 'static,
-) -> CellReport {
-    let armed = plan
-        .filter(|p| p.matches(experiment, platform))
-        .map(|p| p.kind);
-    let f: Arc<dyn Fn() -> Result<Vec<ChannelResult>, SimError> + Send + Sync> = Arc::new(f);
-    let mut last_error = None;
-    let mut last_outcome = CellOutcome::Panicked;
-    for attempt in 0..MAX_ATTEMPTS {
-        if attempt > 0 {
-            RETRIES.fetch_add(1, Ordering::Relaxed);
+        Ok((Ok(Err(e)), _)) => {
+            let outcome = match e.kind {
+                SimErrorKind::Watchdog => CellOutcome::TimedOut,
+                SimErrorKind::ProgramPanic => CellOutcome::Panicked,
+                SimErrorKind::Deadlock { .. } => CellOutcome::Deadlock,
+                SimErrorKind::StackOverflow => CellOutcome::StackOverflow,
+            };
+            (outcome, None, 0, Some(e.to_string()))
         }
-        let salt = u64::from(attempt).wrapping_mul(RETRY_SALT_STRIDE);
-        match run_attempt(armed, deadline, salt, Arc::clone(&f)) {
-            Attempt::Done(channels, env_failed) => {
-                if let Some(FaultKind::CommitFlip { index }) = armed {
-                    if let Some(d) = commit_flip_selfcheck(index) {
-                        REPLAY_DIVERGED.fetch_add(1, Ordering::Relaxed);
-                        return CellReport {
-                            outcome: CellOutcome::ReplayDiverged,
-                            channels: Some(channels),
-                            attempts: attempt + 1,
-                            env_failed: 0,
-                            error: Some(format!(
-                                "commit log fails replay: first divergence at commit #{} \
-                                 (expected {:#018x}, got {:#018x})",
-                                d.index, d.expected, d.actual
-                            )),
-                        };
-                    }
-                }
-                if env_failed > 0 {
-                    // Graceful degradation, not a quarantine: the cell
-                    // completed with partial results over the surviving
-                    // environments.
-                    ENV_FAILED.fetch_add(1, Ordering::Relaxed);
-                    return CellReport {
-                        outcome: CellOutcome::EnvFailed,
-                        channels: Some(channels),
-                        attempts: attempt + 1,
-                        env_failed,
-                        error: Some(format!(
-                            "{env_failed} environment(s) failed in isolation; \
-                             results cover the survivors"
-                        )),
-                    };
-                }
-                return CellReport {
-                    outcome: CellOutcome::Ok,
-                    channels: Some(channels),
-                    attempts: attempt + 1,
-                    env_failed: 0,
-                    error: None,
-                };
-            }
-            Attempt::Panicked(msg) => {
-                PANICS.fetch_add(1, Ordering::Relaxed);
-                last_error = Some(msg);
-                last_outcome = CellOutcome::Panicked;
-            }
-            Attempt::TimedOut(msg) => {
-                TIMEOUTS.fetch_add(1, Ordering::Relaxed);
-                last_error = Some(msg);
-                last_outcome = CellOutcome::TimedOut;
-            }
-            Attempt::Deadlocked(msg) => {
-                DEADLOCKS.fetch_add(1, Ordering::Relaxed);
-                last_error = Some(msg);
-                last_outcome = CellOutcome::Deadlock;
-            }
-            Attempt::StackOverflow(msg) => {
-                STACK_OVERFLOWS.fetch_add(1, Ordering::Relaxed);
-                last_error = Some(msg);
-                last_outcome = CellOutcome::StackOverflow;
-            }
-        }
+        // Graceful degradation, not a quarantine: the cell completed with
+        // partial results over the surviving environments.
+        Ok((Ok(Ok(channels)), env_failed)) if env_failed > 0 => (
+            CellOutcome::EnvFailed,
+            Some(channels),
+            env_failed,
+            Some(format!(
+                "{env_failed} environment(s) failed in isolation; \
+                 results cover the survivors"
+            )),
+        ),
+        Ok((Ok(Ok(channels)), _)) => (CellOutcome::Ok, Some(channels), 0, None),
+    };
+    if let Some(c) = outcome.counter() {
+        c.fetch_add(1, Ordering::Relaxed);
     }
     CellReport {
-        outcome: last_outcome,
-        channels: None,
-        attempts: MAX_ATTEMPTS,
-        env_failed: 0,
-        error: last_error,
+        outcome,
+        channels,
+        env_failed,
+        error,
     }
-}
-
-/// Verify that a forged commit is *detectable*: record the scripted
-/// reference run twice — once clean (whose per-commit hash trace is the
-/// truth) and once with the commit log forging index `flip` — and replay
-/// the forged log against the clean trace. A healthy replay plane returns
-/// the divergence; `None` means the forgery went undetected.
-#[must_use]
-pub fn commit_flip_selfcheck(flip: usize) -> Option<tp_core::Divergence> {
-    use tp_core::replay::hash_trace;
-    use tp_core::{Booted, Genesis};
-    const STEPS: u64 = 60;
-    let g = Genesis::new(tp_sim::Platform::Haswell);
-
-    let Booted {
-        mut machine,
-        mut kernel,
-        driver,
-    } = g.boot();
-    kernel.log.enable();
-    for i in 0..STEPS {
-        driver.step(&mut machine, &mut kernel, i * 7 + 3, i, i * 13 + 1);
-    }
-    let clean = kernel.log.take();
-    if clean.is_empty() {
-        return None;
-    }
-    let trace = hash_trace(&g, &clean);
-    let flip = flip % clean.len();
-
-    let Booted {
-        mut machine,
-        mut kernel,
-        driver,
-    } = g.boot();
-    kernel.log.enable();
-    kernel.log.arm_flip(flip);
-    for i in 0..STEPS {
-        driver.step(&mut machine, &mut kernel, i * 7 + 3, i, i * 13 + 1);
-    }
-    let forged = kernel.log.take();
-    tp_core::replay_diff(&g, &forged, &trace)
-}
-
-/// A miniature synthetic cell for the chaos harness and the supervisor
-/// tests: a single domain issuing enough syscalls to trip the env faults
-/// and enough cache evictions to drain a poisoned noise stream, in well
-/// under a second.
-///
-/// # Errors
-/// Returns the [`SimError`] when the simulation fails — which is the
-/// point: every injected fault class surfaces here.
-pub fn probe_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
-    use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
-    let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
-        .seed(seed)
-        .max_cycles(200_000_000);
-    let d = b.domain(None);
-    b.spawn(d, 0, 100, |env: &mut UserEnv| {
-        let (base, _) = env.map_pages(32);
-        for i in 0..600u64 {
-            env.load(tp_sim::VAddr(base.0 + (i % 32) * tp_sim::FRAME_SIZE));
-            if i % 20 == 0 {
-                let _ = env.syscall(Syscall::Yield);
-            }
-        }
-    });
-    b.try_run()?;
-    Ok(Vec::new())
-}
-
-/// A two-core pair cell: one primary per core, each interleaving probe
-/// loads with `Yield`s, so forward progress *requires* cross-core token
-/// rotation. The `lost-wakeup` fault wedges the token here and the
-/// driver's deadlock detector must classify it — deterministically, at the
-/// same interaction ordinal on both coroutine backends.
-///
-/// # Errors
-/// The [`SimError`] when the simulation fails (under `lost-wakeup`, a
-/// [`tp_core::SimErrorKind::Deadlock`]).
-pub fn pair_cell_report(seed: u64) -> Result<tp_core::SystemReport, SimError> {
-    use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
-    let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
-        .seed(seed)
-        .max_cycles(400_000_000);
-    let d0 = b.domain(None);
-    let d1 = b.domain(None);
-    for (core, d) in [d0, d1].into_iter().enumerate() {
-        b.spawn(d, core, 100, move |env: &mut UserEnv| {
-            let (base, _) = env.map_pages(16);
-            for i in 0..400u64 {
-                env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE));
-                if i % 25 == 0 {
-                    let _ = env.syscall(Syscall::Yield);
-                }
-            }
-        });
-    }
-    b.try_run()
-}
-
-/// [`pair_cell_report`] shaped as a supervised cell body.
-///
-/// # Errors
-/// As [`pair_cell_report`].
-pub fn pair_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
-    pair_cell_report(seed).map(|_| Vec::new())
-}
-
-/// A small fleet cell: one primary plus two daemon tenants in their own
-/// domains on one core. The daemons issue all the early syscalls (tight
-/// `Yield` loops), so a low-ordinal `env-panic@N` deterministically kills a
-/// *daemon* — exercising per-environment isolation ([`CellOutcome::EnvFailed`],
-/// survivors unperturbed).
-///
-/// # Errors
-/// The [`SimError`] when the simulation fails.
-pub fn fleet_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
-    use tp_core::{ProtectionConfig, Syscall, SystemBuilder, UserEnv};
-    let mut b = SystemBuilder::new(tp_sim::Platform::Haswell, ProtectionConfig::raw())
-        .seed(seed)
-        .slice_us(50.0)
-        .max_cycles(300_000_000);
-    let d0 = b.domain(None);
-    let d1 = b.domain(None);
-    let d2 = b.domain(None);
-    b.spawn(d0, 0, 100, |env: &mut UserEnv| {
-        let (base, _) = env.map_pages(16);
-        for i in 0..400u64 {
-            env.load(tp_sim::VAddr(base.0 + (i % 16) * tp_sim::FRAME_SIZE));
-            env.compute(500);
-        }
-    });
-    for d in [d1, d2] {
-        b.spawn_daemon(d, 0, 100, |env: &mut UserEnv| loop {
-            let _ = env.syscall(Syscall::Yield);
-        });
-    }
-    b.try_run()?;
-    Ok(Vec::new())
 }
 
 /// Parse a `TP_CELL_TIMEOUT` value (seconds). `None`/empty means "unset";
@@ -567,9 +313,8 @@ pub struct QuarantineEntry {
     pub platform: String,
     /// Final classification (never `ok`).
     pub outcome: CellOutcome,
-    /// Attempts consumed before giving up (or detecting corruption).
-    pub attempts: u32,
-    /// The last failure message.
+    /// The failure message, naming the failing seed when the cell's vote
+    /// got that far.
     pub error: String,
 }
 
@@ -586,11 +331,10 @@ pub fn quarantine_json(entries: &[QuarantineEntry]) -> String {
         let comma = if i + 1 < entries.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "  {{\"experiment\": \"{}\", \"platform\": \"{}\", \"outcome\": \"{}\", \"attempts\": {}, \"error\": \"{}\"}}{comma}",
+            "  {{\"experiment\": \"{}\", \"platform\": \"{}\", \"outcome\": \"{}\", \"error\": \"{}\"}}{comma}",
             e.experiment,
             e.platform,
             e.outcome.name(),
-            e.attempts,
             e.error.replace('\\', "\\\\").replace('"', "\\\""),
         );
     }
@@ -598,110 +342,84 @@ pub fn quarantine_json(entries: &[QuarantineEntry]) -> String {
     s
 }
 
+/// The fault classification table, shared with `tests/health.rs`.
+#[cfg(test)]
+#[path = "../../../tests/common/fault_table.rs"]
+mod fault_table;
+
 #[cfg(test)]
 mod tests {
+    use super::fault_table::check;
     use super::*;
+    use tp_core::FaultKind;
 
-    fn tiny_cell(seed: u64) -> Result<Vec<ChannelResult>, SimError> {
-        probe_cell(seed)
-    }
-
-    fn plan(kind: FaultKind) -> FaultPlan {
-        FaultPlan::new(kind)
+    /// A cell body that fails if any fault reached its worker thread.
+    fn fault_free() -> Result<Vec<ChannelResult>, SimError> {
+        assert_eq!(fault::armed(), None, "a fault reached this cell");
+        Ok(Vec::new())
     }
 
     #[test]
     fn healthy_cell_is_ok_first_attempt() {
-        let r = run_cell("tiny", "haswell", None, Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E000)
-        });
+        let r = run_cell("tiny", "haswell", None, Duration::from_secs(60), fault_free);
         assert_eq!(r.outcome, CellOutcome::Ok, "{:?}", r.error);
-        assert_eq!(r.attempts, 1);
         assert!(r.channels.is_some());
         assert!(r.error.is_none());
     }
 
+    /// One attempt, and a second supervised run classifies the same cell
+    /// identically: same outcome, same error.
     #[test]
     fn env_panic_classifies_as_panicked_with_deterministic_retries() {
-        let p = plan(FaultKind::EnvPanic { at: 3 });
-        let r1 = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E001)
-        });
-        assert_eq!(r1.outcome, CellOutcome::Panicked);
-        assert_eq!(
-            r1.attempts, MAX_ATTEMPTS,
-            "deterministic fault on every attempt"
-        );
-        assert!(r1.channels.is_none());
-        assert!(
-            r1.error.as_deref().unwrap_or("").contains("env-panic"),
-            "{:?}",
-            r1.error
-        );
-        // A deterministic fault reclassifies identically on a second
-        // supervised run — same outcome, same attempt count.
-        let r2 = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E001)
-        });
-        assert_eq!((r2.outcome, r2.attempts), (r1.outcome, r1.attempts));
+        let first = check("env-panic@3");
+        let again = check("env-panic@3");
+        assert_eq!((again.outcome, again.error), (first.outcome, first.error));
     }
 
     #[test]
     fn env_stall_is_caught_by_the_watchdog_as_timed_out() {
-        let p = plan(FaultKind::EnvStall { at: 3 });
-        let r = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(1), || {
-            tiny_cell(0xA11C_E002)
-        });
-        assert_eq!(r.outcome, CellOutcome::TimedOut, "{:?}", r.error);
-        assert_eq!(r.attempts, MAX_ATTEMPTS);
-        assert!(
-            r.error.as_deref().unwrap_or("").contains("watchdog"),
-            "{:?}",
-            r.error
-        );
+        check("env-stall@3");
+    }
+
+    /// The detail is pinned to what the thread-per-environment engine and
+    /// every worker-pool size reported before the single inline driver
+    /// replaced them.
+    #[test]
+    fn lost_wakeup_classifies_as_deadlock_at_one_ordinal() {
+        check("lost-wakeup@2");
     }
 
     #[test]
-    fn noise_poison_classifies_as_panicked() {
-        let p = plan(FaultKind::NoisePoison { after: 64 });
-        let r = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E003)
-        });
-        assert_eq!(r.outcome, CellOutcome::Panicked, "{:?}", r.error);
-        assert!(
-            r.error.as_deref().unwrap_or("").contains("noise-poison"),
-            "{:?}",
-            r.error
-        );
+    fn stack_overflow_classifies_and_names_the_guard() {
+        check("stack-overflow");
     }
 
     #[test]
-    fn commit_flip_fails_the_replay_selfcheck() {
-        let p = plan(FaultKind::CommitFlip { index: 17 });
-        let r = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E005)
-        });
-        assert_eq!(r.outcome, CellOutcome::ReplayDiverged, "{:?}", r.error);
-        assert!(
-            r.error.as_deref().unwrap_or("").contains("divergence"),
-            "{:?}",
-            r.error
-        );
-    }
-
-    #[test]
-    fn selfcheck_finds_the_forged_commit() {
-        let d = commit_flip_selfcheck(17).expect("forged log must diverge");
-        assert_eq!(d.index, 17, "divergence at the forged index");
-        assert!(commit_flip_selfcheck(3).is_some());
+    fn fleet_daemon_panic_degrades_to_env_failed() {
+        check("env-panic@2");
     }
 
     #[test]
     fn scoped_plan_leaves_other_cells_alone() {
         let p = FaultPlan::parse("env-panic@3:cell=other/skylake").unwrap();
-        let r = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E006)
-        });
+        let r = run_cell(
+            "tiny",
+            "haswell",
+            Some(&p),
+            Duration::from_secs(60),
+            fault_free,
+        );
+        assert_eq!(r.outcome, CellOutcome::Ok, "{:?}", r.error);
+        let r = run_cell(
+            "other",
+            "skylake",
+            Some(&p),
+            Duration::from_secs(60),
+            || {
+                assert_eq!(fault::armed(), Some(FaultKind::EnvPanic { at: 3 }));
+                Ok(Vec::new())
+            },
+        );
         assert_eq!(r.outcome, CellOutcome::Ok, "{:?}", r.error);
     }
 
@@ -739,59 +457,6 @@ mod tests {
         assert!((hist[&("l1d".into(), "haswell".into())] - 1.25).abs() < 1e-9);
     }
 
-    /// The detail is pinned to what the thread-per-environment engine and
-    /// every worker-pool size reported before the single inline driver
-    /// replaced them.
-    #[test]
-    fn lost_wakeup_classifies_as_deadlock_at_one_ordinal() {
-        let p = plan(FaultKind::LostWakeup { at: 2 });
-        let r = run_cell("pair", "haswell", Some(&p), Duration::from_secs(60), || {
-            pair_cell(0xA11C_E007)
-        });
-        assert_eq!(r.outcome, CellOutcome::Deadlock, "{:?}", r.error);
-        assert_eq!(r.attempts, MAX_ATTEMPTS, "deterministic on every attempt");
-        assert_eq!(
-            r.error.as_deref(),
-            Some(
-                "deadlock: 1 environment(s) suspended with no runnable progress \
-                 at interaction 17"
-            )
-        );
-    }
-
-    #[test]
-    fn stack_overflow_classifies_and_names_the_guard() {
-        let p = plan(FaultKind::StackOverflow);
-        let r = run_cell("tiny", "haswell", Some(&p), Duration::from_secs(60), || {
-            tiny_cell(0xA11C_E008)
-        });
-        assert_eq!(r.outcome, CellOutcome::StackOverflow, "{:?}", r.error);
-        let err = r.error.expect("overflow detail");
-        assert!(err.starts_with("stack overflow"), "{err}");
-        assert!(err.contains("TP_STACK_KB"), "{err}");
-    }
-
-    #[test]
-    fn fleet_daemon_panic_degrades_to_env_failed() {
-        let p = plan(FaultKind::EnvPanic { at: 2 });
-        let r = run_cell(
-            "fleet",
-            "haswell",
-            Some(&p),
-            Duration::from_secs(60),
-            || fleet_cell(0xA11C_E009),
-        );
-        assert_eq!(r.outcome, CellOutcome::EnvFailed, "{:?}", r.error);
-        assert_eq!(r.attempts, 1, "partial completion, not a retry");
-        assert!(r.channels.is_some(), "survivor results are reported");
-        assert!(r.env_failed > 0);
-        assert!(
-            r.error.as_deref().unwrap_or("").contains("survivors"),
-            "{:?}",
-            r.error
-        );
-    }
-
     #[test]
     fn quarantine_ledger_roundtrips_shape() {
         assert_eq!(quarantine_json(&[]), "[]\n");
@@ -799,12 +464,11 @@ mod tests {
             experiment: "l1d".into(),
             platform: "haswell".into(),
             outcome: CellOutcome::Panicked,
-            attempts: 3,
-            error: "injected fault: env-panic at syscall 3".into(),
+            error: "seed 0x5eed: injected fault: env-panic at syscall 3".into(),
         }];
         let s = quarantine_json(&entries);
         assert!(s.contains("\"outcome\": \"panicked\""));
-        assert!(s.contains("\"attempts\": 3"));
+        assert!(s.contains("\"error\": \"seed 0x5eed: "));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
     }
 }

@@ -46,8 +46,8 @@ pub struct SimExit;
 /// bare panic out of [`crate::SystemBuilder::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimError {
-    /// Broad classification (drives the campaign supervisor's retry and
-    /// quarantine decisions).
+    /// Broad classification (drives the campaign supervisor's
+    /// classification of a failed cell).
     pub kind: SimErrorKind,
     /// The environment's panic payload or the watchdog's abort note.
     pub message: String,
@@ -133,6 +133,14 @@ static ENV_FAILED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::
 static DEADLOCKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static STACK_OVERFLOWS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+thread_local! {
+    /// [`HealthStats::env_failed`] counted on this thread only. The driver
+    /// runs inline on the thread that called `SystemBuilder::try_run`, so a
+    /// supervisor that runs each cell on its own thread reads this cell's
+    /// isolated failures without seeing concurrent cells'.
+    static THREAD_ENV_FAILED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Snapshot the process-wide executor health counters.
 #[must_use]
 pub fn health_stats() -> HealthStats {
@@ -142,6 +150,13 @@ pub fn health_stats() -> HealthStats {
         deadlocks: DEADLOCKS.load(Relaxed),
         stack_overflows: STACK_OVERFLOWS.load(Relaxed),
     }
+}
+
+/// Environments that failed in isolation on this thread since it started
+/// (the per-thread share of [`HealthStats::env_failed`]).
+#[must_use]
+pub fn thread_env_failed() -> u64 {
+    THREAD_ENV_FAILED.with(std::cell::Cell::get)
 }
 
 /// Per-environment completion outcome, carried in `SystemReport` in spawn
@@ -297,8 +312,7 @@ impl SimInner {
         }
     }
 
-    /// Arm an environment or executor fault. Other fault classes are
-    /// injected elsewhere and ignored here.
+    /// Arm an environment or executor fault.
     pub fn arm_env_fault(&mut self, kind: crate::fault::FaultKind) {
         match kind {
             crate::fault::FaultKind::EnvPanic { at } => self.fault_panic_at = Some(at.max(1)),
@@ -307,7 +321,6 @@ impl SimInner {
                 self.fault_lost_wakeup_at = Some(at.max(1));
             }
             crate::fault::FaultKind::StackOverflow => self.fault_stack_overflow = true,
-            _ => {}
         }
     }
 
@@ -1099,6 +1112,7 @@ fn finish_program(
             // the siblings keep running. `thread_exited` below retires it
             // from the scheduler like a normal exit.
             ENV_FAILED.fetch_add(1, Relaxed);
+            THREAD_ENV_FAILED.with(|c| c.set(c.get() + 1));
             g.env_failures.push((env, message));
         }
     }

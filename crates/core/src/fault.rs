@@ -2,9 +2,9 @@
 //!
 //! A [`FaultPlan`] names one fault class (and optionally the single
 //! experiment×platform cell it applies to). Faults are **deterministic**: a
-//! fault point is a position in the simulated event stream — syscall number,
-//! commit index, noise-stream draw — never a wall-clock instant, so a chaos
-//! run with the same plan and seed reproduces bit-for-bit.
+//! fault point is a position in the simulated event stream — an interaction
+//! or token-rotation ordinal — never a wall-clock instant, so a chaos run
+//! with the same plan and seed reproduces bit-for-bit.
 //!
 //! Plans travel to a cell through a thread-local rather than a global: the
 //! campaign supervisor runs each cell on its own host thread, arms the plan
@@ -38,17 +38,6 @@ pub enum FaultKind {
         /// 1-based syscall ordinal after which the environment hangs.
         at: u64,
     },
-    /// The commit log records a forged commit at `index`, so replay of the
-    /// log diverges from the live run — exercising the replay oracle.
-    CommitFlip {
-        /// 0-based commit index to corrupt.
-        index: usize,
-    },
-    /// The machine's noise stream panics after `after` further draws.
-    NoisePoison {
-        /// Number of draws that still succeed before the stream faults.
-        after: u64,
-    },
     /// The `at`-th cross-core token rotation is swallowed and the token
     /// wedges — modelling a lost scheduler wakeup that nothing re-delivers.
     /// The executor's deadlock detector must classify the
@@ -65,42 +54,11 @@ pub enum FaultKind {
     StackOverflow,
 }
 
-impl FaultKind {
-    /// The `TP_FAULT` spelling of this class (without trigger point).
-    #[must_use]
-    pub fn class_name(self) -> &'static str {
-        match self {
-            FaultKind::EnvPanic { .. } => "env-panic",
-            FaultKind::EnvStall { .. } => "env-stall",
-            FaultKind::CommitFlip { .. } => "commit-flip",
-            FaultKind::NoisePoison { .. } => "noise-poison",
-            FaultKind::LostWakeup { .. } => "lost-wakeup",
-            FaultKind::StackOverflow => "stack-overflow",
-        }
-    }
-
-    /// All six classes at their default trigger points, in a fixed order —
-    /// what the chaos binary iterates when `TP_FAULT` is unset.
-    #[must_use]
-    pub fn all_defaults() -> [FaultKind; 6] {
-        [
-            FaultKind::EnvPanic { at: 3 },
-            FaultKind::EnvStall { at: 3 },
-            FaultKind::CommitFlip { index: 17 },
-            FaultKind::NoisePoison { after: 64 },
-            FaultKind::LostWakeup { at: 2 },
-            FaultKind::StackOverflow,
-        ]
-    }
-}
-
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             FaultKind::EnvPanic { at } => write!(f, "env-panic@{at}"),
             FaultKind::EnvStall { at } => write!(f, "env-stall@{at}"),
-            FaultKind::CommitFlip { index } => write!(f, "commit-flip@{index}"),
-            FaultKind::NoisePoison { after } => write!(f, "noise-poison@{after}"),
             FaultKind::LostWakeup { at } => write!(f, "lost-wakeup@{at}"),
             FaultKind::StackOverflow => write!(f, "stack-overflow"),
         }
@@ -128,12 +86,11 @@ impl FaultPlan {
     ///
     /// ```text
     /// plan  := class [ "@" N ] [ ":cell=" experiment "/" platform ]
-    /// class := "env-panic" | "env-stall" | "commit-flip"
-    ///        | "noise-poison" | "lost-wakeup" | "stack-overflow"
+    /// class := "env-panic" | "env-stall" | "lost-wakeup" | "stack-overflow"
     /// ```
     ///
-    /// `@N` sets the trigger point (interaction ordinal, commit index,
-    /// draw count or rotation ordinal depending on class)
+    /// `@N` sets the trigger point (interaction ordinal, or rotation
+    /// ordinal for `lost-wakeup`)
     /// and defaults per class; `stack-overflow` has no trigger point and
     /// rejects one.
     ///
@@ -170,12 +127,6 @@ impl FaultPlan {
             "env-stall" => FaultKind::EnvStall {
                 at: at.unwrap_or(3),
             },
-            "commit-flip" => FaultKind::CommitFlip {
-                index: at.unwrap_or(17) as usize,
-            },
-            "noise-poison" => FaultKind::NoisePoison {
-                after: at.unwrap_or(64),
-            },
             "lost-wakeup" => FaultKind::LostWakeup {
                 at: at.unwrap_or(2),
             },
@@ -188,7 +139,7 @@ impl FaultPlan {
             other => {
                 return Err(format!(
                     "unknown fault class `{other}` (expected env-panic, env-stall, \
-                     commit-flip, noise-poison, lost-wakeup or stack-overflow)"
+                     lost-wakeup or stack-overflow)"
                 ))
             }
         };
@@ -277,14 +228,6 @@ mod tests {
             FaultKind::EnvStall { at: 3 }
         );
         assert_eq!(
-            FaultPlan::parse("commit-flip@9").unwrap().kind,
-            FaultKind::CommitFlip { index: 9 }
-        );
-        assert_eq!(
-            FaultPlan::parse("noise-poison@1000").unwrap().kind,
-            FaultKind::NoisePoison { after: 1000 }
-        );
-        assert_eq!(
             FaultPlan::parse("lost-wakeup@7").unwrap().kind,
             FaultKind::LostWakeup { at: 7 }
         );
@@ -312,6 +255,10 @@ mod tests {
     #[test]
     fn rejects_malformed_specs() {
         assert!(FaultPlan::parse("frob").is_err());
+        for removed in ["commit-flip@17", "noise-poison"] {
+            let err = FaultPlan::parse(removed).unwrap_err();
+            assert!(err.contains("lost-wakeup or stack-overflow"), "{err}");
+        }
         assert!(FaultPlan::parse("env-panic@lots").is_err());
         assert!(FaultPlan::parse("stack-overflow@3").is_err());
         assert!(FaultPlan::parse("env-panic:cell=flush").is_err());
@@ -323,8 +270,6 @@ mod tests {
         for spec in [
             "env-panic@3",
             "env-stall@7",
-            "commit-flip@17",
-            "noise-poison@64",
             "lost-wakeup@2",
             "stack-overflow",
             "env-panic@5:cell=flush/haswell",

@@ -69,8 +69,8 @@ pub mod system;
 pub use commit::{Commit, CommitLog, StateHasher};
 pub use config::{FlushMode, ProtectionConfig};
 pub use engine::{
-    health_stats, EnvOutcome, EnvPlan, HealthStats, SimCtl, SimError, SimErrorKind, SimInner,
-    UserEnv, UserProgram,
+    health_stats, thread_env_failed, EnvOutcome, EnvPlan, HealthStats, SimCtl, SimError,
+    SimErrorKind, SimInner, UserEnv, UserProgram,
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use kernel::{EngineMode, FootKind, Kernel, KernelError, SysReturn, Syscall};

@@ -365,16 +365,6 @@ impl SystemBuilder {
             kernel.log.enable();
         }
 
-        // Injected faults that live in machine/kernel state (the env faults
-        // and the watchdog deadline are armed on the engine below).
-        match armed_fault {
-            Some(crate::fault::FaultKind::CommitFlip { index }) => kernel.log.arm_flip(index),
-            Some(crate::fault::FaultKind::NoisePoison { after }) => {
-                machine.rng().poison_after(after);
-            }
-            _ => {}
-        }
-
         let specs: Vec<_> = tcbs
             .iter()
             .zip(self.threads)

@@ -40,39 +40,18 @@ pub fn nth(seed: u64, i: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoiseRng {
     state: u64,
-    /// Fault-injection countdown: when `Some(n)`, the stream panics on the
-    /// `n`-th draw from now. `None` (the default, and the only state any
-    /// non-chaos run ever sees) is free: one branch on the hot path.
-    poison_in: Option<u64>,
 }
 
 impl NoiseRng {
     /// A stream seeded with `seed`.
     #[must_use]
     pub fn seeded(seed: u64) -> Self {
-        NoiseRng {
-            state: seed,
-            poison_in: None,
-        }
-    }
-
-    /// Arm the poison fault: the stream panics after `draws` further draws.
-    /// Deterministic by construction — the countdown is in stream positions,
-    /// which depend only on the simulated event sequence.
-    pub fn poison_after(&mut self, draws: u64) {
-        self.poison_in = Some(draws);
+        NoiseRng { state: seed }
     }
 
     /// The next 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        if let Some(left) = self.poison_in {
-            assert!(
-                left > 0,
-                "injected fault: noise-poison (stream exhausted its armed budget)"
-            );
-            self.poison_in = Some(left - 1);
-        }
         self.state = self.state.wrapping_add(GOLDEN);
         mix(self.state)
     }
@@ -126,24 +105,6 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear");
-    }
-
-    #[test]
-    fn poison_fires_after_exactly_n_draws() {
-        let mut r = NoiseRng::seeded(0xDEAD_BEEF);
-        r.poison_after(5);
-        for i in 0..5 {
-            // The armed stream yields the same values as the clean stream
-            // right up to the fault point.
-            assert_eq!(r.next_u64(), nth(0xDEAD_BEEF, i));
-        }
-        let err = std::panic::catch_unwind(move || r.next_u64()).expect_err("draw 6 must panic");
-        let msg = err
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("noise-poison"), "unexpected payload: {msg}");
     }
 
     #[test]

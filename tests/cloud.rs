@@ -36,7 +36,6 @@ fn thousand_environment_cell_completes_under_supervisor() {
         },
     );
     assert_eq!(report.outcome, CellOutcome::Ok, "{:?}", report.error);
-    assert_eq!(report.attempts, 1, "healthy cell must not retry");
     let channels = report.channels.expect("Ok report carries channels");
     assert!(channels[0].samples > 0, "empty aggregate dataset");
 }

@@ -1,61 +1,41 @@
-//! Executor health plane: fault classification and the deterministic
-//! deadlock detector.
+//! Executor health plane: the fault classification table and the
+//! deterministic deadlock detector.
 //!
-//! Two contracts are pinned here, in their own process (fault injection
+//! Three contracts are pinned here, in their own process (fault injection
 //! necessarily trips the supervisor's global counters, which
 //! `tests/supervision.rs` asserts stay zero in a fault-free process):
 //!
-//! * **Classification regression**: every pre-existing `TP_FAULT` class
-//!   yields the supervisor classification the thread-per-environment
-//!   engine gave it — including the `env-stall@N` ordinal, which counts
-//!   `wait_preempt` interactions.
+//! * **Classification**: [`TABLE`] (`tests/common/fault_table.rs`) is the
+//!   one place that maps each `TP_FAULT` class to the supervisor outcome it
+//!   must produce, including a real (unarmed) daemon failure and the inert
+//!   stall ordinal.
+//! * **Cause and confinement**: a fault in a real campaign cell names the
+//!   failing vote seed, and the next unarmed run of that cell is
+//!   byte-identical to an unsupervised one.
 //! * **Deadlock pin**: a `lost-wakeup` wedge is classified by the driver
 //!   as a typed [`tp_core::SimErrorKind::Deadlock`] at one exact
-//!   interaction ordinal — the one every worker-pool size of the old
-//!   cooperative executor reported — never by the wall-clock watchdog. CI
-//!   runs this file under both coroutine backends.
+//!   interaction ordinal, never by the wall-clock watchdog.
+//!
+//! CI runs this file under both coroutine backends.
 
+use std::sync::Once;
 use std::time::Duration;
-use tp_bench::supervise::{pair_cell_report, probe_cell, run_cell, CellOutcome};
+use tp_bench::campaign::{registry, results_json, ChannelResult, ExperimentResult, VOTE_SEED_BASE};
+use tp_bench::supervise::{run_cell, CellOutcome, CellReport};
 use tp_core::{fault, FaultKind, FaultPlan, SimErrorKind};
+use tp_sim::Platform;
 
-/// Supervise one probe cell with `kind` armed.
-fn classify(kind: FaultKind, seed: u64) -> CellOutcome {
-    let plan = FaultPlan::new(kind);
-    run_cell(
-        "probe",
-        "haswell",
-        Some(&plan),
-        Duration::from_secs(2),
-        move || probe_cell(seed),
-    )
-    .outcome
-}
+#[path = "common/fault_table.rs"]
+mod fault_table;
+use fault_table::{check, pair_cell, TABLE};
 
-/// Every pre-existing fault class classifies as it did under the
-/// thread-per-environment engine. (The newer classes are exercised by the
-/// chaos binary and the supervise unit tests.)
+/// Every row of the table classifies as it says on the coroutine backend
+/// `TP_CORO` selects; CI runs this file under both, so a fault class
+/// classifies identically across executors.
 #[test]
 fn legacy_fault_classes_classify_identically_across_executors() {
-    let cases: [(FaultKind, CellOutcome); 4] = [
-        (FaultKind::EnvPanic { at: 3 }, CellOutcome::Panicked),
-        (FaultKind::EnvStall { at: 3 }, CellOutcome::TimedOut),
-        (
-            FaultKind::CommitFlip { index: 17 },
-            CellOutcome::ReplayDiverged,
-        ),
-        (FaultKind::NoisePoison { after: 64 }, CellOutcome::Panicked),
-    ];
-    for (i, (kind, expected)) in cases.into_iter().enumerate() {
-        let seed = 0x0D1F_F000 + i as u64;
-        let got = classify(kind, seed);
-        assert_eq!(
-            got,
-            expected,
-            "{kind} classified {} (expected {})",
-            got.name(),
-            expected.name(),
-        );
+    for &(spec, ..) in TABLE {
+        check(spec);
     }
 }
 
@@ -63,11 +43,62 @@ fn legacy_fault_classes_classify_identically_across_executors() {
 /// cell's interaction count never fires.
 #[test]
 fn env_stall_ordinal_counts_interactions_identically() {
-    let got = classify(FaultKind::EnvStall { at: 1_000_000 }, 0x0D1F_F100);
+    let r = check("env-stall@1000000");
+    assert_eq!(r.outcome, CellOutcome::Ok, "{:?}", r.error);
+}
+
+/// A fault in a real campaign cell fails its one attempt with an error
+/// naming the fault and the vote seed it hit; the next, unarmed run of the
+/// same cell is byte-identical to an unsupervised run, so the fault stayed
+/// in its own cell. Interaction 2 of the tlb cell's first system belongs to
+/// its primary (the receiver); interactions 1, 3 and 5 belong to the sender
+/// daemon, where the fault would only degrade the cell to `env-failed`.
+#[test]
+fn real_cell_failure_names_its_seed_and_stays_in_its_cell() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| std::env::set_var("TP_SAMPLES", "0.05"));
+    let def = registry()
+        .into_iter()
+        .find(|d| d.name == "tlb")
+        .expect("tlb in the registry");
+    let run = def.run;
+    let p = Platform::Haswell;
+    let plan = FaultPlan::parse("env-panic@2").expect("plan");
+    let faulted = run_cell(
+        "tlb",
+        p.key(),
+        Some(&plan),
+        Duration::from_secs(600),
+        move || run(p),
+    );
     assert_eq!(
-        got,
-        CellOutcome::Ok,
-        "an unreachable stall ordinal must be inert"
+        faulted.outcome,
+        CellOutcome::Panicked,
+        "{:?}",
+        faulted.error
+    );
+    let err = faulted.error.expect("failure detail");
+    assert!(err.contains("env-panic"), "{err}");
+    assert!(err.contains(&format!("seed {VOTE_SEED_BASE:#x}")), "{err}");
+
+    let healthy = run_cell("tlb", p.key(), None, Duration::from_secs(600), move || {
+        run(p)
+    });
+    assert_eq!(healthy.outcome, CellOutcome::Ok, "{:?}", healthy.error);
+    let json = |channels| {
+        results_json(
+            &[ExperimentResult {
+                experiment: "tlb",
+                platform: p,
+                seconds: 0.0,
+                channels,
+            }],
+            0.0,
+        )
+    };
+    assert_eq!(
+        json(healthy.channels.expect("Ok report carries channels")),
+        json(run(p).expect("direct run")),
     );
 }
 
@@ -77,7 +108,7 @@ fn env_stall_ordinal_counts_interactions_identically() {
 #[test]
 fn lost_wakeup_deadlock_matches_pinned_detail() {
     fault::arm(Some(FaultKind::LostWakeup { at: 2 }));
-    let r = pair_cell_report(0x0D1F_F200);
+    let r = pair_cell(0x0D1F_F200);
     fault::arm(None);
     let e = r.expect_err("the wedged token must be detected, not completed");
     assert_eq!(

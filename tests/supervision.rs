@@ -87,7 +87,6 @@ fn assert_transparent(name: &'static str, platform: Platform) {
         "{name}/{}",
         platform.key()
     );
-    assert_eq!(pair.report.attempts, 1, "healthy cell must not retry");
     assert_eq!(pair.report.error, None);
     let supervised = pair
         .report
@@ -151,17 +150,8 @@ fn healthy_cells_leave_the_counters_untouched() {
     }
     let c = supervise::counters();
     assert_eq!(
-        (
-            c.retries,
-            c.timeouts,
-            c.panics,
-            c.replay_diverged,
-            c.quarantined,
-            c.env_failed,
-            c.deadlocks,
-            c.stack_overflows
-        ),
-        (0, 0, 0, 0, 0, 0, 0, 0),
+        c,
+        supervise::SupervisorCounters::default(),
         "healthy campaign must report a clean supervisor line"
     );
 }
